@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
                               : obs::kPrometheusContentType,
           obs::renderPrometheus(obs::metrics(), options)};
     });
-    serve::registerDebugRoutes(http, &server,
+    serve::registerDebugRoutes(http, server,
                                "{\"name\": \"table6_serving\"}\n");
     if (!http.listen(0)) return 1;
     http.start();

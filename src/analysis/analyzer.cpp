@@ -1,10 +1,10 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "analysis/checks.hpp"
+#include "common/json.hpp"
 
 namespace psmgen::analysis {
 
@@ -119,28 +119,6 @@ const char* artifactCheckId(serialize::FormatErrorCode code) {
   return "PSM-ART-006";
 }
 
-void appendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 }  // namespace
 
 LintReport lintModel(const core::Psm& psm,
@@ -203,7 +181,7 @@ std::string renderText(const LintReport& report, const std::string& subject) {
 
 std::string renderJson(const LintReport& report, const std::string& subject) {
   std::string out = "{\"schema\": \"psmgen.lint.v1\", \"subject\": ";
-  appendJsonString(out, subject);
+  common::appendJsonString(out, subject);
   out += ", \"summary\": {\"errors\": " + std::to_string(report.errors);
   out += ", \"warnings\": " + std::to_string(report.warnings);
   out += ", \"infos\": " + std::to_string(report.infos);
@@ -214,9 +192,9 @@ std::string renderJson(const LintReport& report, const std::string& subject) {
     const Finding& f = report.findings[i];
     if (i > 0) out += ", ";
     out += "{\"id\": ";
-    appendJsonString(out, f.check_id);
+    common::appendJsonString(out, f.check_id);
     out += ", \"severity\": ";
-    appendJsonString(out, severityName(f.severity));
+    common::appendJsonString(out, severityName(f.severity));
     out += ", \"locus\": {";
     bool first = true;
     const auto key = [&](const char* name) {
@@ -240,12 +218,12 @@ std::string renderJson(const LintReport& report, const std::string& subject) {
     }
     if (!f.locus.detail.empty()) {
       key("detail");
-      appendJsonString(out, f.locus.detail);
+      common::appendJsonString(out, f.locus.detail);
     }
     out += "}, \"message\": ";
-    appendJsonString(out, f.message);
+    common::appendJsonString(out, f.message);
     out += ", \"hint\": ";
-    appendJsonString(out, f.hint);
+    common::appendJsonString(out, f.hint);
     out += "}";
   }
   out += "]}\n";

@@ -3,6 +3,7 @@
 #include <string.h>  // strerror_r: POSIX, not in <cstring>'s std::
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace psmgen::common {
@@ -25,6 +26,16 @@ std::string trim(const std::string& s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+std::string_view trimBlanks(std::string_view s) {
+  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
+    s.remove_suffix(1);
+  }
+  return s;
 }
 
 std::string join(const std::vector<std::string>& parts, const std::string& sep) {
@@ -54,6 +65,33 @@ std::string padLeft(const std::string& s, std::size_t width) {
 std::string padRight(const std::string& s, std::size_t width) {
   if (s.size() >= width) return s;
   return s + std::string(width - s.size(), ' ');
+}
+
+namespace {
+
+/// std::from_chars over all of `text`: locale-free, no whitespace or
+/// '+' accepted, and the parse must consume every character.
+template <typename T>
+std::optional<T> parseWhole(std::string_view text, T min, T max) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= min && value <= max)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
+std::optional<long long> parseInteger(std::string_view text, long long min,
+                                      long long max) {
+  return parseWhole(text, min, max);
+}
+
+std::optional<double> parseReal(std::string_view text, double min,
+                                double max) {
+  return parseWhole(text, min, max);
 }
 
 namespace {

@@ -1,7 +1,9 @@
 #pragma once
 // Small string helpers shared by trace I/O, reporting, and code generation.
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace psmgen::common {
@@ -11,6 +13,10 @@ std::vector<std::string> split(const std::string& s, char delim);
 
 /// Strips leading/trailing ASCII whitespace.
 std::string trim(const std::string& s);
+
+/// Strips leading/trailing spaces and tabs only (HTTP's optional
+/// whitespace around header values and parameters).
+std::string_view trimBlanks(std::string_view s);
 
 /// Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
@@ -25,6 +31,17 @@ std::string formatDouble(double v, int precision);
 std::string padLeft(const std::string& s, std::size_t width);
 /// Right-pads with spaces to at least `width` characters.
 std::string padRight(const std::string& s, std::size_t width);
+
+/// Parses all of `text` as a base-10 integer in [min, max]. Empty
+/// input, whitespace, a leading '+', trailing characters and values
+/// outside the range (overflow included) all give nullopt.
+std::optional<long long> parseInteger(std::string_view text, long long min,
+                                      long long max);
+
+/// Parses all of `text` as a decimal real in [min, max]; the same
+/// rejections as parseInteger(), and NaN is never in range.
+std::optional<double> parseReal(std::string_view text, double min,
+                                double max);
 
 /// Thread-safe strerror: the message for `errnum` via strerror_r into
 /// a local buffer. std::strerror returns a pointer into static storage

@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/strings.hpp"
+
 namespace psmgen::obs {
 
 namespace {
@@ -150,16 +152,6 @@ std::string escapeLabelValue(std::string_view value) {
 
 namespace {
 
-std::string_view trimSpace(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 bool equalsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -176,7 +168,7 @@ double mediaRangeQuality(std::string_view params) {
   double q = 1.0;
   while (!params.empty()) {
     const std::size_t semi = params.find(';');
-    std::string_view param = trimSpace(
+    std::string_view param = common::trimBlanks(
         params.substr(0, semi == std::string_view::npos ? params.size()
                                                         : semi));
     params = semi == std::string_view::npos ? std::string_view{}
@@ -209,7 +201,7 @@ bool acceptsOpenMetrics(std::string_view accept_header) {
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
     const std::size_t semi = entry.find(';');
-    const std::string_view type = trimSpace(
+    const std::string_view type = common::trimBlanks(
         entry.substr(0, semi == std::string_view::npos ? entry.size()
                                                        : semi));
     const std::string_view params =

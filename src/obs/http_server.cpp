@@ -1,14 +1,10 @@
 #include "obs/http_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "common/strings.hpp"
 #include "obs/log.hpp"
@@ -22,36 +18,11 @@ namespace {
 /// request is a few hundred bytes, anything larger is abuse.
 constexpr std::size_t kMaxRequestBytes = 8192;
 
-bool sendAll(int fd, const char* data, std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::send(fd, data + off, size - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
-namespace {
-
 std::string toLowerAscii(std::string s) {
   for (char& c : s) {
     if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
   return s;
-}
-
-std::string trimWhitespace(const std::string& s) {
-  std::size_t begin = 0;
-  std::size_t end = s.size();
-  while (begin < end && (s[begin] == ' ' || s[begin] == '\t')) ++begin;
-  while (end > begin && (s[end - 1] == ' ' || s[end - 1] == '\t')) --end;
-  return s.substr(begin, end - begin);
 }
 
 /// Parses the `Name: value` lines between the request line and the
@@ -65,9 +36,11 @@ void parseHeaderFields(
     if (line_end == std::string::npos || line_end == begin) break;
     const std::size_t colon = head.find(':', begin);
     if (colon != std::string::npos && colon < line_end) {
+      const std::string_view view(head);
       headers.emplace_back(
-          toLowerAscii(trimWhitespace(head.substr(begin, colon - begin))),
-          trimWhitespace(head.substr(colon + 1, line_end - colon - 1)));
+          toLowerAscii(std::string(
+              common::trimBlanks(view.substr(begin, colon - begin)))),
+          common::trimBlanks(view.substr(colon + 1, line_end - colon - 1)));
     }
     begin = line_end + 2;
   }
@@ -82,32 +55,20 @@ std::string HttpServer::Request::header(const std::string& name) const {
   return "";
 }
 
-std::string HttpServer::Request::queryParam(const std::string& name) const {
-  std::size_t pos = 0;
-  while (pos < query.size()) {
-    std::size_t amp = query.find('&', pos);
-    if (amp == std::string::npos) amp = query.size();
-    const std::size_t eq = query.find('=', pos);
-    if (eq != std::string::npos && eq < amp &&
-        query.compare(pos, eq - pos, name) == 0) {
-      return query.substr(eq + 1, amp - eq - 1);
-    }
-    pos = amp + 1;
-  }
-  return "";
-}
-
-bool HttpServer::Request::hasQueryParam(const std::string& name) const {
+std::optional<std::string> HttpServer::Request::findQueryParam(
+    const std::string& name) const {
   std::size_t pos = 0;
   while (pos < query.size()) {
     std::size_t amp = query.find('&', pos);
     if (amp == std::string::npos) amp = query.size();
     std::size_t eq = query.find('=', pos);
     if (eq == std::string::npos || eq > amp) eq = amp;
-    if (query.compare(pos, eq - pos, name) == 0 && eq > pos) return true;
+    if (eq > pos && query.compare(pos, eq - pos, name) == 0) {
+      return eq < amp ? query.substr(eq + 1, amp - eq - 1) : "";
+    }
     pos = amp + 1;
   }
-  return false;
+  return std::nullopt;
 }
 
 const char* HttpServer::reasonPhrase(int status) {
@@ -131,65 +92,31 @@ void HttpServer::handle(const std::string& path, Handler handler) {
 }
 
 bool HttpServer::listen(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    error("http.socket_failed", {{"errno", common::errnoMessage(errno)}});
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 16) < 0) {
+  if (!listener_.listen(port, /*backlog=*/16)) {
     error("http.bind_failed",
           {{"port", port}, {"errno", common::errnoMessage(errno)}});
-    ::close(fd);
     return false;
   }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_.store(fd, std::memory_order_release);
   return true;
 }
 
 void HttpServer::start() {
-  if (listen_fd_.load(std::memory_order_acquire) < 0 || running()) return;
+  if (!listener_.listening() || running()) return;
   running_.store(true, std::memory_order_relaxed);
   thread_ = std::thread([this] { acceptLoop(); });
-  info("http.serving", {{"port", port_}});
+  info("http.serving", {{"port", port()}});
 }
 
 void HttpServer::stop() {
-  if (!running_.exchange(false, std::memory_order_relaxed)) {
-    const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-    if (fd >= 0) ::close(fd);
-    return;
-  }
-  // Claim the fd before touching it so the loop thread can never observe
-  // a closed-and-reused descriptor; shutdown() unblocks its accept().
-  const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (thread_.joinable()) thread_.join();
+  const bool was_running = running_.exchange(false, std::memory_order_relaxed);
+  listener_.close();  // wakes the accept loop
+  if (was_running && thread_.joinable()) thread_.join();
 }
 
 void HttpServer::acceptLoop() {
   while (running()) {
-    const int listen_fd = listen_fd_.load(std::memory_order_acquire);
-    if (listen_fd < 0) break;  // stop() already reclaimed the socket
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down by stop()
-    }
+    const int fd = listener_.accept();
+    if (fd < 0) break;  // stop() closed the listener
     serveConnection(fd);
     ::close(fd);
   }
@@ -203,9 +130,7 @@ void HttpServer::serveConnection(int fd) {
   const int deadline_ms = request_deadline_ms_.load(std::memory_order_relaxed);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms);
-  timeval timeout{};
-  timeout.tv_sec = 5;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  common::setSocketTimeoutMs(fd, SO_SNDTIMEO, 5000);
 
   std::string head;
   bool timed_out = false;
@@ -218,15 +143,7 @@ void HttpServer::serveConnection(int fd) {
       timed_out = true;
       break;
     }
-    timeval recv_timeout{};
-    recv_timeout.tv_sec = remaining.count() / 1000;
-    recv_timeout.tv_usec =
-        static_cast<suseconds_t>((remaining.count() % 1000) * 1000);
-    if (recv_timeout.tv_sec == 0 && recv_timeout.tv_usec == 0) {
-      recv_timeout.tv_usec = 1000;
-    }
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
-                 sizeof(recv_timeout));
+    common::setSocketTimeoutMs(fd, SO_RCVTIMEO, remaining.count());
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
@@ -311,7 +228,7 @@ void HttpServer::respond(int fd, const std::string& method,
   if (response.status == 405) out += "Allow: GET, HEAD\r\n";
   out += "Connection: close\r\n\r\n";
   if (method != "HEAD") out += response.body;
-  sendAll(fd, out.data(), out.size());
+  common::sendAll(fd, out);
 }
 
 }  // namespace psmgen::obs

@@ -12,9 +12,9 @@
 // are the only accepted methods (anything else is 405), an unregistered
 // path is 404, a garbled request line is 400, and a handler that throws
 // turns into 500 — the serving loop never propagates exceptions into the
-// predictor thread. Handlers run on the server thread, so anything they
-// touch (the metrics registry, the quality monitor) must be thread-safe
-// against the feed thread; both are.
+// serving threads. Handlers run on the server thread, so anything they
+// touch (the metrics registry, the session registry) must be
+// thread-safe against the serving threads; both are.
 //
 // listen(0) binds an ephemeral port (reported by port()) — tests and
 // `psmgen serve --port 0 --port-file F` use that to avoid collisions.
@@ -23,10 +23,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "common/socket.hpp"
 
 namespace psmgen::obs {
 
@@ -50,15 +53,18 @@ class HttpServer {
     /// surrounding whitespace. Bounded by the request-head cap.
     std::vector<std::pair<std::string, std::string>> headers;
 
-    /// Value of `name` in the query string ("" when absent). Supports
-    /// the `k=v&k2=v2` shape only — no percent-decoding, which none of
-    /// the debug routes need.
-    std::string queryParam(const std::string& name) const;
-
-    /// True when `name` appears in the query string at all — the way a
+    /// Value of the first `name` in the query string: nullopt when
+    /// absent, "" for a bare `?name` or an empty `?name=` — the way a
     /// validating route tells an absent parameter (use the default)
     /// from an empty one (`?limit=`, a client error worth a 400).
-    bool hasQueryParam(const std::string& name) const;
+    /// Supports the `k=v&k2=v2` shape only — no percent-decoding, which
+    /// none of the debug routes need.
+    std::optional<std::string> findQueryParam(const std::string& name) const;
+
+    /// findQueryParam() with "" for an absent parameter.
+    std::string queryParam(const std::string& name) const {
+      return findQueryParam(name).value_or("");
+    }
 
     /// First value of header `name` ("" when absent). `name` must be
     /// given in lowercase; lookup is case-insensitive to the wire.
@@ -81,7 +87,7 @@ class HttpServer {
   bool listen(std::uint16_t port);
 
   /// The bound port (resolves listen(0)); 0 before a successful listen().
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Spawns the accept loop on a background thread. listen() must have
   /// succeeded first.
@@ -114,14 +120,11 @@ class HttpServer {
   // follows a publish-then-read protocol (mutated only before start(),
   // read only by the accept thread afterwards — the handle() contract
   // above), and every field shared with the accept thread past start()
-  // is an atomic below. If routes_ ever becomes mutable while running,
-  // it must move behind a common::Mutex with GUARDED_BY.
+  // is an atomic below or the listener's own atomic fd. If routes_ ever
+  // becomes mutable while running, it must move behind a common::Mutex
+  // with GUARDED_BY.
   std::map<std::string, Handler> routes_;
-  // Written by listen()/stop() on the controlling thread and read by the
-  // accept loop thread; atomic so stop() tearing the socket down does not
-  // race the loop's next accept() (ThreadSanitizer flags the plain int).
-  std::atomic<int> listen_fd_{-1};
-  std::uint16_t port_ = 0;
+  common::LoopbackListener listener_;
   std::atomic<bool> running_{false};
   std::atomic<int> request_deadline_ms_{5000};
   std::thread thread_;

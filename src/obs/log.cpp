@@ -3,46 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <iostream>
 
+#include "common/json.hpp"
+
 namespace psmgen::obs {
 
 namespace {
-
-void appendEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void appendDouble(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    // NaN/inf are invalid JSON numbers; 0 keeps the line parseable.
-    out += "0";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
 
 /// UTC wall-clock timestamp with millisecond resolution.
 void appendTimestamp(std::string& out) {
@@ -89,9 +58,7 @@ void LogValue::append(std::string& out, bool json) const {
   char buf[32];
   switch (kind_) {
     case Kind::String:
-      out += '"';
-      appendEscaped(out, str_);
-      out += '"';
+      common::appendJsonString(out, str_);
       return;
     case Kind::Bool:
       out += bool_ ? "true" : "false";
@@ -105,7 +72,7 @@ void LogValue::append(std::string& out, bool json) const {
       out += buf;
       return;
     case Kind::Double:
-      appendDouble(out, double_);
+      common::appendJsonNumber(out, double_);
       return;
   }
   (void)json;
@@ -126,13 +93,12 @@ void Logger::log(LogLevel level, std::string_view event,
     appendTimestamp(line);
     line += "\",\"level\":\"";
     line += logLevelName(level);
-    line += "\",\"event\":\"";
-    appendEscaped(line, event);
-    line += '"';
+    line += "\",\"event\":";
+    common::appendJsonString(line, event);
     for (const LogField& f : fields) {
-      line += ",\"";
-      appendEscaped(line, f.key);
-      line += "\":";
+      line += ',';
+      common::appendJsonString(line, f.key);
+      line += ':';
       f.value.append(line, /*json=*/true);
     }
     line += '}';

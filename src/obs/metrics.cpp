@@ -7,27 +7,15 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace psmgen::obs {
 
 namespace {
 
-void appendJsonNumber(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "0";  // NaN/inf are invalid JSON numbers
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
 void appendJsonKey(std::string& out, const std::string& name) {
-  out += '"';
-  for (const char c : name) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += "\": ";
+  common::appendJsonString(out, name);
+  out += ": ";
 }
 
 }  // namespace
@@ -210,7 +198,7 @@ void Registry::writeJson(std::ostream& os) const {
   for (const auto& [name, g] : gauges_) {
     out += first ? "\n    " : ",\n    ";
     appendJsonKey(out, name);
-    appendJsonNumber(out, g->value());
+    common::appendJsonNumber(out, g->value());
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
@@ -225,17 +213,17 @@ void Registry::writeJson(std::ostream& os) const {
     std::snprintf(buf, sizeof(buf), "%zu", s.count);
     out += buf;
     out += ", \"sum\": ";
-    appendJsonNumber(out, s.sum);
+    common::appendJsonNumber(out, s.sum);
     out += ", \"min\": ";
-    appendJsonNumber(out, s.min);
+    common::appendJsonNumber(out, s.min);
     out += ", \"max\": ";
-    appendJsonNumber(out, s.max);
+    common::appendJsonNumber(out, s.max);
     out += ", \"mean\": ";
-    appendJsonNumber(out, s.mean);
+    common::appendJsonNumber(out, s.mean);
     out += ", \"p50\": ";
-    appendJsonNumber(out, s.p50);
+    common::appendJsonNumber(out, s.p50);
     out += ", \"p95\": ";
-    appendJsonNumber(out, s.p95);
+    common::appendJsonNumber(out, s.p95);
     out += '}';
     first = false;
   }

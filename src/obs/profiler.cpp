@@ -18,6 +18,7 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
@@ -123,25 +124,6 @@ std::string symbolize(void* pc) {
   std::snprintf(buf, sizeof(buf), "0x%zx",
                 reinterpret_cast<std::size_t>(pc));
   return buf;
-}
-
-std::string laneName(int lane) {
-  if (lane >= kServeLaneBase) {
-    return "serve-session-" + std::to_string(lane - kServeLaneBase);
-  }
-  if (lane > 0) return "pool-worker-" + std::to_string(lane);
-  return "main";
-}
-
-void appendJsonEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
 }
 
 }  // namespace
@@ -505,9 +487,9 @@ void writeProfileJson(std::ostream& os, const ProfileReport& report) {
     out += "    {\"index\": " + std::to_string(thread.index);
     out += ", \"tid\": " + std::to_string(thread.tid);
     out += ", \"lane\": " + std::to_string(thread.lane);
-    out += ", \"lane_name\": \"";
-    appendJsonEscaped(out, laneName(thread.lane));
-    out += "\", \"samples\": " + std::to_string(thread.samples) + "}";
+    out += ", \"lane_name\": ";
+    common::appendJsonString(out, laneName(thread.lane));
+    out += ", \"samples\": " + std::to_string(thread.samples) + "}";
   }
   out += first ? "],\n" : "\n  ],\n";
   out += "  \"by_session\": [";
@@ -529,9 +511,7 @@ void writeProfileJson(std::ostream& os, const ProfileReport& report) {
     for (const std::string& frame : stack.frames) {
       if (!first_frame) out += ", ";
       first_frame = false;
-      out += '"';
-      appendJsonEscaped(out, frame);
-      out += '"';
+      common::appendJsonString(out, frame);
     }
     out += "], \"count\": " + std::to_string(stack.count) + "}";
   }

@@ -6,18 +6,12 @@
 #include <ostream>
 #include <set>
 
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 
 namespace psmgen::obs {
 
 namespace {
-
-void appendEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
 
 void appendUs(std::string& out, double us) {
   if (!std::isfinite(us) || us < 0.0) us = 0.0;
@@ -27,6 +21,14 @@ void appendUs(std::string& out, double us) {
 }
 
 }  // namespace
+
+std::string laneName(int lane) {
+  if (lane >= kServeLaneBase) {
+    return "serve-session-" + std::to_string(lane - kServeLaneBase);
+  }
+  if (lane > 0) return "pool-worker-" + std::to_string(lane);
+  return "main";
+}
 
 double Tracer::nowUs() const {
   return std::chrono::duration<double, std::micro>(
@@ -67,24 +69,18 @@ void Tracer::writeJson(std::ostream& os) const {
     out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ";
     out += std::to_string(lane);
     out += ", \"args\": {\"name\": \"";
-    if (lane == 0) {
-      out += "main";
-    } else if (lane >= kServeLaneBase) {
-      out += "session " + std::to_string(lane - kServeLaneBase);
-    } else {
-      out += "worker " + std::to_string(lane);
-    }
+    out += laneName(lane);
     out += "\"}}";
     first = false;
   }
 
   for (const Event& e : events_) {
     out += first ? "\n" : ",\n";
-    out += "{\"name\": \"";
-    appendEscaped(out, e.name);
-    out += "\", \"cat\": \"";
-    appendEscaped(out, e.category);
-    out += "\", \"ph\": \"X\", \"ts\": ";
+    out += "{\"name\": ";
+    common::appendJsonString(out, e.name);
+    out += ", \"cat\": ";
+    common::appendJsonString(out, e.category);
+    out += ", \"ph\": \"X\", \"ts\": ";
     appendUs(out, e.ts_us);
     out += ", \"dur\": ";
     appendUs(out, e.dur_us);

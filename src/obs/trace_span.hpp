@@ -85,6 +85,11 @@ void setThreadLane(int lane);
 /// kServeLaneBase + N, clear of any plausible pool worker id.
 inline constexpr int kServeLaneBase = 1000;
 
+/// Display name of a lane, shared by the trace viewer's thread names,
+/// the profiler's per-thread tallies and /debug/pprof/threads: "main",
+/// "pool-worker-N" or "serve-session-N".
+std::string laneName(int lane);
+
 /// RAII span; records into the global tracer if it was enabled at
 /// construction time.
 class Span {

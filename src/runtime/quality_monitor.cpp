@@ -188,7 +188,7 @@ void QualityMonitor::evaluateLocked() {
                        {"residual_ewma_z", window_.residual_ewma_z}});
     if (obs::flightRecorder().enabled()) {
       // The event's session comes from the thread binding (a serve
-      // session thread carries its id; stdio mode records session 0).
+      // session thread carries its id; other callers record session 0).
       obs::FlightEvent event;
       event.row = window_.rows;
       event.detail = static_cast<std::uint32_t>(next);
@@ -270,19 +270,6 @@ PredictorStats QualityMonitor::predictStream(
               {"status", driftStatusName(status())},
               {"window_wsp_percent", window().wspPercent()}});
   return stats;
-}
-
-obs::HttpServer::Response readyzResponse(const QualityMonitor& monitor) {
-  const DriftStatus status = monitor.status();
-  const QualityWindow w = monitor.window();
-  char body[256];
-  std::snprintf(body, sizeof(body),
-                "%s\nwindow_rows %zu\nwsp_percent %.3f\nlost_percent %.3f\n"
-                "resyncs_per_kilorow %.3f\nresidual_ewma_z %.3f\n",
-                driftStatusName(status), w.rows, w.wspPercent(),
-                w.lostPercent(), w.resyncsPerKilorow(), w.residual_ewma_z);
-  return {status == DriftStatus::Drifted ? 503 : 200,
-          "text/plain; charset=utf-8", std::string(body)};
 }
 
 }  // namespace psmgen::runtime

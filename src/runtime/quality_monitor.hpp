@@ -11,9 +11,10 @@
 //
 //   Ok       — every windowed signal below its degraded threshold
 //   Degraded — some signal crossed its degraded threshold
-//   Drifted  — some signal crossed its drifted threshold; `psmgen serve`
-//              turns this into a 503 on /readyz so an orchestrator stops
-//              routing traffic to a model that no longer fits its input
+//   Drifted  — some signal crossed its drifted threshold: the model no
+//              longer fits its input. `psmgen serve` reports each
+//              session's status in /debug/sessions and in FinAck, and
+//              the transition triggers a flight-recorder dump
 //
 // Signals, all over a sliding window of the last `window_rows` rows
 // (except the residual, which is an EWMA):
@@ -33,8 +34,8 @@
 // QualityMonitor.MonitorDoesNotChangeEstimates).
 //
 // Thread model: one feed thread calls predictRow()/predictStream();
-// status() is a relaxed atomic read and window() takes a mutex, so the
-// HTTP endpoint thread of `psmgen serve` can poll both concurrently.
+// status() is a relaxed atomic read and window() takes a mutex, so an
+// introspection thread can poll both concurrently.
 
 #include <atomic>
 #include <cstddef>
@@ -46,7 +47,6 @@
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/psm.hpp"
-#include "obs/http_server.hpp"
 #include "runtime/online_predictor.hpp"
 
 namespace psmgen::runtime {
@@ -174,8 +174,8 @@ class QualityMonitor {
 
   // Lock table — mutex_ guards the sliding window (ring_/window_/
   // occupancy_/residual_primed_), written by the feed thread and copied
-  // by window()/stateOccupancy() on the HTTP endpoint thread. status_
-  // stays a relaxed atomic so /readyz never blocks on the feed.
+  // by window()/stateOccupancy() on an introspection thread. status_
+  // stays a relaxed atomic so a status poll never blocks on the feed.
   mutable common::Mutex mutex_;
   std::deque<RowRecord> ring_ GUARDED_BY(mutex_);
   QualityWindow window_ GUARDED_BY(mutex_);
@@ -184,10 +184,5 @@ class QualityMonitor {
   bool residual_primed_ GUARDED_BY(mutex_) = false;
   std::atomic<int> status_{static_cast<int>(DriftStatus::Ok)};
 };
-
-/// The `/readyz` contract shared by `psmgen serve` and the tests:
-/// 200 with the status name while the monitor reports Ok/Degraded,
-/// 503 "drifted" once it reports Drifted.
-obs::HttpServer::Response readyzResponse(const QualityMonitor& monitor);
 
 }  // namespace psmgen::runtime

@@ -6,7 +6,8 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
+
+#include "common/socket.hpp"
 
 namespace psmgen::serve {
 
@@ -35,17 +36,7 @@ void Client::close() {
 }
 
 bool Client::sendRaw(const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
+  return common::sendAll(fd_, bytes);
 }
 
 Frame Client::readFrame() {

@@ -2,10 +2,15 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
+#include "common/build_info.hpp"
+#include "common/json.hpp"
+#include "common/strings.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace_span.hpp"
@@ -26,65 +31,60 @@ const char* sessionStateName(int state) {
   return "?";
 }
 
-void appendEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
 void appendDouble(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   out += buf;
 }
 
-/// Parses `?limit=K` into `limit` (leaving it untouched when the
-/// parameter is absent). Returns false — and fills `error` with a 400
-/// body — on anything that is not an integer in [1, max].
-bool parseLimitParam(const obs::HttpServer::Request& request,
-                     std::size_t max, std::size_t& limit,
-                     std::string& error) {
-  if (!request.hasQueryParam("limit")) return true;
-  const std::string raw = request.queryParam("limit");
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0' || value < 1 || value > max) {
-    error = "limit must be an integer in [1, " + std::to_string(max) + "]\n";
-    return false;
+/// Parses query parameter `name` into `value`, which keeps its default
+/// when the parameter is absent. Returns false — and fills `error` with
+/// a 400 body — on anything but a whole integer (integral `T`) or
+/// number in [min, max].
+template <typename T>
+bool parseParam(const obs::HttpServer::Request& request, const char* name,
+                T min, T max, T& value, std::string& error) {
+  const std::optional<std::string> raw = request.findQueryParam(name);
+  if (!raw) return true;
+  constexpr bool kIntegral = std::is_integral_v<T>;
+  std::optional<T> parsed;
+  if constexpr (kIntegral) {
+    const auto n = common::parseInteger(*raw, static_cast<long long>(min),
+                                        static_cast<long long>(max));
+    if (n) parsed = static_cast<T>(*n);
+  } else {
+    parsed = common::parseReal(*raw, min, max);
   }
-  limit = static_cast<std::size_t>(value);
-  return true;
-}
-
-/// Parses a query parameter as a number in [min, max]; absent keeps the
-/// default. Used by /debug/pprof/profile for `seconds` and `hz`.
-bool parseNumberParam(const obs::HttpServer::Request& request,
-                      const char* name, double min, double max,
-                      double& value, std::string& error) {
-  if (!request.hasQueryParam(name)) return true;
-  const std::string raw = request.queryParam(name);
-  char* end = nullptr;
-  const double parsed = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0' || !(parsed >= min) ||
-      !(parsed <= max)) {
-    error = std::string(name) + " must be a number in [" +
+  if (!parsed) {
+    error = std::string(name) + " must be " +
+            (kIntegral ? "an integer" : "a number") + " in [" +
             std::to_string(min) + ", " + std::to_string(max) + "]\n";
     return false;
   }
-  value = parsed;
+  value = *parsed;
   return true;
 }
 
-std::string profilerLaneName(int lane) {
-  if (lane >= obs::kServeLaneBase) {
-    return "serve-session-" + std::to_string(lane - obs::kServeLaneBase);
-  }
-  if (lane > 0) return "pool-worker-" + std::to_string(lane);
-  return "main";
-}
-
 }  // namespace
+
+std::string buildInfoJson(const std::string& model_path,
+                          const serialize::PsmModel& model) {
+  std::string out = "{\"name\": \"psmgen\", \"version\": ";
+  common::appendJsonString(out, common::kVersion);
+  out += ", \"git_sha\": ";
+  common::appendJsonString(out, common::kGitSha);
+  out += ", \"build_type\": ";
+  common::appendJsonString(out, common::kBuildType);
+  out += ", \"psm_format_version\": " +
+         std::to_string(serialize::kFormatVersion);
+  out += ", \"model\": {\"path\": ";
+  common::appendJsonString(out, model_path);
+  out += ", \"states\": " + std::to_string(model.psm.stateCount());
+  out += ", \"transitions\": " + std::to_string(model.psm.transitionCount());
+  out += ", \"propositions\": " + std::to_string(model.domain.size());
+  out += "}}\n";
+  return out;
+}
 
 std::string renderSessionsJson(const PredictionServer& server,
                                std::size_t limit) {
@@ -105,9 +105,9 @@ std::string renderSessionsJson(const PredictionServer& server,
     if (rendered++ >= limit) break;
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"id\": " + std::to_string(r->id) + ", \"peer\": \"";
-    appendEscaped(out, r->peer);
-    out += "\", \"uptime_seconds\": ";
+    out += "    {\"id\": " + std::to_string(r->id) + ", \"peer\": ";
+    common::appendJsonString(out, r->peer);
+    out += ", \"uptime_seconds\": ";
     appendDouble(out,
                  std::chrono::duration<double>(now - r->start).count());
     out += ", \"state\": \"";
@@ -141,38 +141,34 @@ std::string renderEventsJson(std::uint64_t session, std::size_t limit) {
   return os.str();
 }
 
-void registerDebugRoutes(obs::HttpServer& http, const PredictionServer* server,
+void registerDebugRoutes(obs::HttpServer& http, const PredictionServer& server,
                          std::string build_json) {
   using Request = obs::HttpServer::Request;
   using Response = obs::HttpServer::Response;
 
-  http.handle("/debug/sessions", [server](const Request& request) -> Response {
-    if (server == nullptr) {
-      return {404, "text/plain; charset=utf-8",
-              "no live session registry (stdio mode serves one implicit "
-              "stream; use /debug/events)\n"};
-    }
+  http.handle("/debug/sessions", [&server](const Request& request) -> Response {
     std::size_t limit = kMaxSessionsRendered;
     std::string error;
-    if (!parseLimitParam(request, kMaxSessionsRendered, limit, error)) {
+    if (!parseParam(request, "limit", std::size_t{1}, kMaxSessionsRendered,
+                    limit, error)) {
       return {400, "text/plain; charset=utf-8", error};
     }
     return {200, "application/json; charset=utf-8",
-            renderSessionsJson(*server, limit)};
+            renderSessionsJson(server, limit)};
   });
 
-  http.handle("/debug/events", [server](const Request& request) -> Response {
+  http.handle("/debug/events", [&server](const Request& request) -> Response {
     std::uint64_t session = 0;
     const std::string raw = request.queryParam("session");
     if (!raw.empty()) {
-      char* end = nullptr;
-      session = std::strtoull(raw.c_str(), &end, 10);
-      if (end == raw.c_str() || *end != '\0' || session == 0) {
+      const auto parsed = common::parseInteger(
+          raw, 1, std::numeric_limits<long long>::max());
+      if (!parsed) {
         return {400, "text/plain; charset=utf-8",
                 "session must be a positive integer\n"};
       }
-      const bool live =
-          server != nullptr && server->sessions().find(session) != nullptr;
+      session = static_cast<std::uint64_t>(*parsed);
+      const bool live = server.sessions().find(session) != nullptr;
       if (!live && !obs::flightRecorder().hasSession(session)) {
         return {404, "text/plain; charset=utf-8",
                 "unknown session " + raw + "\n"};
@@ -180,7 +176,8 @@ void registerDebugRoutes(obs::HttpServer& http, const PredictionServer* server,
     }
     std::size_t limit = kMaxEventsRendered;
     std::string error;
-    if (!parseLimitParam(request, kMaxEventsRendered, limit, error)) {
+    if (!parseParam(request, "limit", std::size_t{1}, kMaxEventsRendered,
+                    limit, error)) {
       return {400, "text/plain; charset=utf-8", error};
     }
     return {200, "application/json; charset=utf-8",
@@ -196,8 +193,8 @@ void registerDebugRoutes(obs::HttpServer& http, const PredictionServer* server,
     double seconds = 2.0;
     double hz = 97.0;
     std::string error;
-    if (!parseNumberParam(request, "seconds", 1.0, 30.0, seconds, error) ||
-        !parseNumberParam(request, "hz", 1.0, 1000.0, hz, error)) {
+    if (!parseParam(request, "seconds", 1.0, 30.0, seconds, error) ||
+        !parseParam(request, "hz", 1.0, 1000.0, hz, error)) {
       return {400, "text/plain; charset=utf-8", error};
     }
     obs::ProfilerConfig config;
@@ -235,9 +232,9 @@ void registerDebugRoutes(obs::HttpServer& http, const PredictionServer* server,
       out += "    {\"index\": " + std::to_string(t.index);
       out += ", \"tid\": " + std::to_string(t.tid);
       out += ", \"lane\": " + std::to_string(t.lane);
-      out += ", \"lane_name\": \"";
-      appendEscaped(out, profilerLaneName(t.lane));
-      out += "\", \"samples\": " + std::to_string(t.samples) + "}";
+      out += ", \"lane_name\": ";
+      common::appendJsonString(out, obs::laneName(t.lane));
+      out += ", \"samples\": " + std::to_string(t.samples) + "}";
     }
     out += first ? "]\n}\n" : "\n  ]\n}\n";
     return {200, "application/json; charset=utf-8", out};

@@ -37,6 +37,7 @@
 #include <string>
 
 #include "obs/http_server.hpp"
+#include "serialize/psm_artifact.hpp"
 
 namespace psmgen::serve {
 
@@ -55,11 +56,15 @@ std::string renderSessionsJson(const PredictionServer& server,
 std::string renderEventsJson(std::uint64_t session,
                              std::size_t limit = kMaxEventsRendered);
 
-/// Registers the /debug routes on `http`. `server` may be null
-/// (stdio mode): /debug/sessions then answers 404 with an explanatory
-/// body, the other routes work everywhere. `build_json` is served
+/// The `psmgen serve` /buildinfo and /debug/build body: build identity
+/// plus the loaded artifact's format version and shape, so a scrape can
+/// tell *which* model a drifting instance is serving.
+std::string buildInfoJson(const std::string& model_path,
+                          const serialize::PsmModel& model);
+
+/// Registers the /debug routes on `http`. `build_json` is served
 /// verbatim by /debug/build. `server` must outlive `http`.
-void registerDebugRoutes(obs::HttpServer& http, const PredictionServer* server,
+void registerDebugRoutes(obs::HttpServer& http, const PredictionServer& server,
                          std::string build_json);
 
 }  // namespace psmgen::serve

@@ -2,6 +2,17 @@
 
 namespace psmgen::serve {
 
+std::uint64_t recordSessionEvent(obs::FlightEvent event,
+                                 SessionRecord* record) {
+  obs::FlightRecorder& recorder = obs::flightRecorder();
+  if (!recorder.enabled()) return 0;
+  const std::uint64_t id = recorder.record(event);
+  if (record != nullptr) {
+    record->last_event_id.store(id, std::memory_order_relaxed);
+  }
+  return id;
+}
+
 std::shared_ptr<SessionRecord> SessionRegistry::open(std::string peer) {
   const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   auto record = std::make_shared<SessionRecord>(id, std::move(peer));

@@ -20,6 +20,7 @@
 
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace psmgen::serve {
 
@@ -58,6 +59,12 @@ struct SessionRecord {
            static_cast<double>(p);
   }
 };
+
+/// Records `event` in the flight recorder and, when `record` is given,
+/// publishes the event's id as that session's newest. While the
+/// recorder is disabled this is one relaxed load and returns 0.
+std::uint64_t recordSessionEvent(obs::FlightEvent event,
+                                 SessionRecord* record);
 
 /// Thread-safe map of the currently-open sessions.
 class SessionRegistry {

@@ -2,13 +2,10 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "common/strings.hpp"
 #include "obs/flight_recorder.hpp"
@@ -19,27 +16,6 @@
 namespace psmgen::serve {
 
 namespace {
-
-bool sendAll(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;  // peer gone, or SO_SNDTIMEO expired (slow client)
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void setTimeoutMs(int fd, int option, int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
-}
 
 /// Receive poll granularity: the connection loop wakes this often to
 /// notice drain and to advance the idle clock, whatever the client does.
@@ -66,39 +42,20 @@ PredictionServer::PredictionServer(const serialize::PsmModel& model,
 PredictionServer::~PredictionServer() { stop(); }
 
 bool PredictionServer::listen() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    obs::error("serve.socket_failed", {{"errno", common::errnoMessage(errno)}});
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(config_.port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, config_.backlog) < 0) {
+  if (!listener_.listen(config_.port, config_.backlog)) {
     obs::error("serve.bind_failed",
                {{"port", config_.port}, {"errno", common::errnoMessage(errno)}});
-    ::close(fd);
     return false;
   }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_.store(fd, std::memory_order_release);
   return true;
 }
 
 void PredictionServer::start() {
-  if (listen_fd_.load(std::memory_order_acquire) < 0 || running()) return;
+  if (!listener_.listening() || running()) return;
   running_.store(true, std::memory_order_relaxed);
   accept_thread_ = std::thread([this] { acceptLoop(); });
   obs::info("serve.listening",
-            {{"port", port_},
+            {{"port", port()},
              {"max_sessions", config_.max_sessions},
              {"rows_per_second", config_.rows_per_second}});
 }
@@ -111,11 +68,7 @@ void PredictionServer::beginDrain() {
   // Closing the listener both refuses new connects at the kernel and
   // unblocks the accept loop; live sessions notice the flag at their
   // next recv poll, after answering the frames already consumed.
-  const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
+  listener_.close();
 }
 
 void PredictionServer::stop() {
@@ -148,20 +101,16 @@ void PredictionServer::reapFinishedLocked() {
 
 void PredictionServer::acceptLoop() {
   while (running()) {
-    const int listen_fd = listen_fd_.load(std::memory_order_acquire);
-    if (listen_fd < 0) break;  // drain/stop reclaimed the socket
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener shut down
-    }
-    setTimeoutMs(fd, SO_SNDTIMEO, config_.io_timeout_ms);
+    const int fd = listener_.accept();
+    if (fd < 0) break;  // drain/stop closed the listener
+    common::setSocketTimeoutMs(fd, SO_SNDTIMEO, config_.io_timeout_ms);
     if (active_.load(std::memory_order_relaxed) >= config_.max_sessions) {
       obs::metrics().counter("serve.sessions_rejected").add(1);
-      sendAll(fd, encodeError({ErrorCode::Busy,
-                               "session cap of " +
-                                   std::to_string(config_.max_sessions) +
-                                   " reached"}));
+      common::sendAll(
+          fd, encodeError({ErrorCode::Busy,
+                           "session cap of " +
+                               std::to_string(config_.max_sessions) +
+                               " reached"}));
       ::close(fd);
       continue;
     }
@@ -186,7 +135,7 @@ void PredictionServer::acceptLoop() {
 }
 
 void PredictionServer::runConnection(int fd, std::string peer) {
-  setTimeoutMs(fd, SO_RCVTIMEO, kRecvPollMs);
+  common::setSocketTimeoutMs(fd, SO_RCVTIMEO, kRecvPollMs);
   Session::Config scfg;
   scfg.model_id = config_.model_id;
   scfg.max_frame_payload = config_.max_frame_payload;
@@ -204,12 +153,10 @@ void PredictionServer::runConnection(int fd, std::string peer) {
   session.bindRecord(record);
   obs::FlightRecorder::setThreadSession(session_id);
   obs::setThreadLane(obs::kServeLaneBase + static_cast<int>(session_id));
-  if (obs::flightRecorder().enabled()) {
-    obs::FlightEvent event;
-    event.kind = static_cast<std::uint16_t>(obs::FlightEventKind::SessionOpen);
-    const std::uint64_t event_id = obs::flightRecorder().record(event);
-    record->last_event_id.store(event_id, std::memory_order_relaxed);
-  }
+  obs::FlightEvent open_event;
+  open_event.kind =
+      static_cast<std::uint16_t>(obs::FlightEventKind::SessionOpen);
+  recordSessionEvent(open_event, record.get());
   obs::debug("serve.session_open", {{"session", session_id},
                                     {"peer", record->peer}});
 
@@ -220,7 +167,7 @@ void PredictionServer::runConnection(int fd, std::string peer) {
     if (draining()) {
       out.clear();
       session.abort(ErrorCode::Draining, "server is draining", out);
-      sendAll(fd, out);  // best effort; we are closing either way
+      common::sendAll(fd, out);  // best effort; we are closing either way
       break;
     }
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
@@ -230,7 +177,7 @@ void PredictionServer::runConnection(int fd, std::string peer) {
       const bool alive = session.consume(buf, static_cast<std::size_t>(n), out);
       // Flush-before-read is the backpressure: while this send blocks on
       // a slow client we consume nothing more from the socket.
-      if (!out.empty() && !sendAll(fd, out)) {
+      if (!out.empty() && !common::sendAll(fd, out)) {
         obs::metrics().counter("serve.slow_client_drops").add(1);
         break;
       }
@@ -245,7 +192,7 @@ void PredictionServer::runConnection(int fd, std::string peer) {
         out.clear();
         session.abort(ErrorCode::IdleTimeout,
                       "no data for " + std::to_string(idle_ms) + " ms", out);
-        sendAll(fd, out);
+        common::sendAll(fd, out);
         break;
       }
     } else {
@@ -253,13 +200,12 @@ void PredictionServer::runConnection(int fd, std::string peer) {
     }
   }
   ::close(fd);
-  if (obs::flightRecorder().enabled()) {
-    obs::FlightEvent event;
-    event.row = session.rows();
-    event.detail = static_cast<std::uint32_t>(session.rows());
-    event.kind = static_cast<std::uint16_t>(obs::FlightEventKind::SessionClose);
-    obs::flightRecorder().record(event);
-  }
+  obs::FlightEvent close_event;
+  close_event.row = session.rows();
+  close_event.detail = static_cast<std::uint32_t>(session.rows());
+  close_event.kind =
+      static_cast<std::uint16_t>(obs::FlightEventKind::SessionClose);
+  recordSessionEvent(close_event, nullptr);
   registry_.close(session_id);
   obs::FlightRecorder::setThreadSession(0);
   obs::setThreadLane(0);

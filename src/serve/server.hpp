@@ -1,9 +1,9 @@
 #pragma once
 // Multi-client TCP prediction server.
 //
-// One PredictionServer owns a listening socket on 127.0.0.1, an accept
+// One PredictionServer owns a common::LoopbackListener, an accept
 // thread, and one connection thread per live session — thread-per-
-// connection on the same socket plumbing obs::HttpServer uses. The model
+// connection on the same listener and send loop obs::HttpServer uses. The model
 // is shared immutably across every session: each connection gets its own
 // OnlinePredictor + QualityMonitor (inside serve::Session), and nothing
 // mutates the Psm after load, so sessions never contend.
@@ -34,6 +34,7 @@
 #include <thread>
 
 #include "common/mutex.hpp"
+#include "common/socket.hpp"
 #include "common/thread_annotations.hpp"
 #include "serialize/psm_artifact.hpp"
 #include "serve/registry.hpp"
@@ -73,7 +74,7 @@ class PredictionServer {
   /// Binds 127.0.0.1:port. Returns false after an error log on failure.
   bool listen();
   /// The bound port (resolves port 0); 0 before a successful listen().
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
   /// Spawns the accept loop; listen() must have succeeded.
   void start();
 
@@ -114,8 +115,7 @@ class PredictionServer {
 
   const serialize::PsmModel& model_;
   ServerConfig config_;
-  std::atomic<int> listen_fd_{-1};
-  std::uint16_t port_ = 0;
+  common::LoopbackListener listener_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<std::size_t> active_{0};

@@ -22,6 +22,20 @@ std::uint16_t flightState(const runtime::OnlinePredictor& predictor) {
   return static_cast<std::uint16_t>(state);
 }
 
+/// Per-frame registry handles, resolved once: a name lookup takes the
+/// global registry mutex, which every session thread would contend on.
+struct FrameInstruments {
+  obs::Counter& frames = obs::metrics().counter("serve.frames_total");
+  obs::Counter& rows = obs::metrics().counter("serve.rows_total");
+  obs::Histogram& latency_ms =
+      obs::metrics().histogram("serve.frame_latency_ms");
+};
+
+FrameInstruments& instruments() {
+  static FrameInstruments i;
+  return i;
+}
+
 /// Burst capacity of the per-session token bucket: one second's worth of
 /// rows, so a client that paces itself never stalls and a client that
 /// bursts is smoothed to the configured rate.
@@ -93,8 +107,22 @@ FinSummary Session::summary() const {
   return fin;
 }
 
+std::uint64_t Session::recordEvent(obs::FlightEventKind kind,
+                                   std::uint32_t detail, std::uint32_t flags,
+                                   float latency_ms) {
+  obs::FlightEvent event;
+  event.session = id();
+  event.row = rows_;
+  event.detail = detail;
+  event.kind = static_cast<std::uint16_t>(kind);
+  event.state = flightState(predictor_);
+  event.flags = flags;
+  event.latency_ms = latency_ms;
+  return recordSessionEvent(event, record_.get());
+}
+
 bool Session::handleFrame(const Frame& frame, std::string& out) {
-  obs::metrics().counter("serve.frames_total").add(1);
+  instruments().frames.add(1);
   switch (state_) {
     case State::AwaitHello: {
       if (frame.type != FrameType::Hello) {
@@ -131,15 +159,7 @@ bool Session::handleFrame(const Frame& frame, std::string& out) {
       reply.variables = served_vars;
       out += encodeHelloOk(reply);
       state_ = State::Streaming;
-      if (obs::flightRecorder().enabled()) {
-        obs::FlightEvent event;
-        event.session = id();
-        event.kind = static_cast<std::uint16_t>(obs::FlightEventKind::Hello);
-        const std::uint64_t event_id = obs::flightRecorder().record(event);
-        if (record_) {
-          record_->last_event_id.store(event_id, std::memory_order_relaxed);
-        }
-      }
+      recordEvent(obs::FlightEventKind::Hello);
       syncRecord();
       return true;
     }
@@ -147,17 +167,7 @@ bool Session::handleFrame(const Frame& frame, std::string& out) {
       if (frame.type == FrameType::Fin) {
         out += encodeFinAck(summary());
         state_ = State::Done;
-        if (obs::flightRecorder().enabled()) {
-          obs::FlightEvent event;
-          event.session = id();
-          event.row = rows_;
-          event.kind = static_cast<std::uint16_t>(obs::FlightEventKind::Fin);
-          event.state = flightState(predictor_);
-          const std::uint64_t event_id = obs::flightRecorder().record(event);
-          if (record_) {
-            record_->last_event_id.store(event_id, std::memory_order_relaxed);
-          }
-        }
+        recordEvent(obs::FlightEventKind::Fin);
         syncRecord();
         return false;
       }
@@ -203,37 +213,23 @@ bool Session::handleFrame(const Frame& frame, std::string& out) {
         estimates.push_back(est);
       }
       rows_ += rows.size();
-      obs::metrics().counter("serve.rows_total").add(rows.size());
+      instruments().rows.add(rows.size());
       const double latency_ms = std::chrono::duration<double, std::milli>(
                                     std::chrono::steady_clock::now() - t0)
                                     .count();
-      std::uint64_t event_id = 0;
-      if (obs::flightRecorder().enabled()) {
-        const runtime::DriftStatus drift = monitor_.status();
-        if (drift == runtime::DriftStatus::Degraded) {
-          frame_flags |= obs::kFlightDegraded;
-        } else if (drift == runtime::DriftStatus::Drifted) {
-          frame_flags |= obs::kFlightDrifted;
-        }
-        obs::FlightEvent event;
-        event.session = id();
-        event.row = rows_;
-        event.detail = static_cast<std::uint32_t>(rows.size());
-        event.kind = static_cast<std::uint16_t>(obs::FlightEventKind::Rows);
-        event.state = flightState(predictor_);
-        event.flags = frame_flags;
-        event.latency_ms = static_cast<float>(latency_ms);
-        event_id = obs::flightRecorder().record(event);
-        if (record_) {
-          record_->last_event_id.store(event_id, std::memory_order_relaxed);
-        }
+      const runtime::DriftStatus drift = monitor_.status();
+      if (drift == runtime::DriftStatus::Degraded) {
+        frame_flags |= obs::kFlightDegraded;
+      } else if (drift == runtime::DriftStatus::Drifted) {
+        frame_flags |= obs::kFlightDrifted;
       }
+      const std::uint64_t event_id = recordEvent(
+          obs::FlightEventKind::Rows, static_cast<std::uint32_t>(rows.size()),
+          frame_flags, static_cast<float>(latency_ms));
       // The two-arg overload stamps the exemplar with Unix wall-clock
       // time — the flight event's recorder-epoch ts_us would read as
       // 1970 to OpenMetrics consumers.
-      obs::metrics()
-          .histogram("serve.frame_latency_ms")
-          .record(latency_ms, event_id);
+      instruments().latency_ms.record(latency_ms, event_id);
       if (record_) {
         record_->frames.fetch_add(1, std::memory_order_relaxed);
       }
@@ -260,23 +256,13 @@ void Session::fail(ErrorCode code, const std::string& message,
   } else {
     obs::metrics().counter("serve.protocol_errors").add(1);
   }
-  if (obs::flightRecorder().enabled()) {
-    obs::FlightEvent event;
-    event.session = id();
-    event.row = rows_;
-    event.detail = static_cast<std::uint32_t>(code);
-    event.kind =
-        static_cast<std::uint16_t>(obs::FlightEventKind::ProtocolError);
-    event.state = flightState(predictor_);
-    const std::uint64_t event_id = obs::flightRecorder().record(event);
-    if (record_) {
-      record_->last_event_id.store(event_id, std::memory_order_relaxed);
-    }
-    // A real peer protocol violation is exactly the moment the recent
-    // window matters — snapshot it before the connection closes.
-    if (!administrative) {
-      obs::flightRecorder().triggerDump("protocol_error", id());
-    }
+  recordEvent(obs::FlightEventKind::ProtocolError,
+              static_cast<std::uint32_t>(code));
+  // A real peer protocol violation is exactly the moment the recent
+  // window matters — snapshot it before the connection closes (a no-op
+  // while the recorder is disabled).
+  if (!administrative) {
+    obs::flightRecorder().triggerDump("protocol_error", id());
   }
   static obs::RateLimiter error_warn_limiter(/*tokens_per_second=*/1.0,
                                              /*burst=*/5.0);

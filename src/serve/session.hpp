@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "runtime/online_predictor.hpp"
 #include "runtime/quality_monitor.hpp"
@@ -61,7 +62,7 @@ class Session {
   /// Attaches the server's live-registry record: the session mirrors its
   /// progress (rows, frames, violation counters, drift status) into it
   /// and stamps its flight-recorder events with the record's id. Optional
-  /// — the stdio mode and protocol unit tests run without one.
+  /// — the protocol unit tests run without one.
   void bindRecord(std::shared_ptr<SessionRecord> record);
 
   /// The bound record's id (0 when unbound); doubles as the session id
@@ -89,6 +90,11 @@ class Session {
 
  private:
   bool handleFrame(const Frame& frame, std::string& out);
+  /// Records a flight event stamped with this session's id, row count
+  /// and predicted state; returns its id (0 while the recorder is off).
+  std::uint64_t recordEvent(obs::FlightEventKind kind,
+                            std::uint32_t detail = 0, std::uint32_t flags = 0,
+                            float latency_ms = 0.0f);
   void fail(ErrorCode code, const std::string& message, std::string& out);
   /// Mirrors predictor stats + state into the bound record (no-op when
   /// unbound).

@@ -33,16 +33,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <iostream>
-#include <memory>
+#include <limits>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "common/build_info.hpp"
+#include "common/strings.hpp"
 #include "core/codegen.hpp"
 #include "core/dot_export.hpp"
 #include "core/flow.hpp"
@@ -80,10 +80,6 @@ int usage() {
       "                  [--rate ROWS_PER_S] [--idle-timeout-ms N] "
       "[--port N] [--port-file F]\n"
       "                  [--window N] [--drift-wsp PCT] [--drift-z Z]\n"
-      "  psmgen serve    --stdio --psm model.psm [--eval E.csv] [--ref E.pw] "
-      "[--port N] [--port-file F]\n"
-      "                  [--window N] [--drift-wsp PCT] [--drift-z Z] "
-      "[--linger-ms N] [--chunk N]\n"
       "  psmgen generate --func F.csv --power F.pw [...] "
       "[--dot out.dot] [--systemc out.cpp] [--plain] [--threads N]\n"
       "  psmgen estimate --func F.csv --power F.pw [...] "
@@ -102,20 +98,16 @@ int usage() {
       "  --epsilon E        tolerance for probability-sum checks "
       "(default 1e-9)\n"
       "\n"
-      "  --threads N        characterization threads "
+      "  --threads N        characterization threads, 0..1024 "
       "(0 = all hardware threads [default], 1 = sequential)\n"
       "  --chunk N          rows buffered by the streaming predictor "
       "(default 4096)\n"
       "\n"
-      "serve (default: multi-client TCP prediction server speaking the "
-      "psmgen.serve.v1 framed\nprotocol on 127.0.0.1, one predictor "
-      "session per connection, graceful drain on\nSIGINT/SIGTERM; "
-      "--stdio restores the single-stream mode: rows from --eval or "
-      "stdin,\nestimates on stdout byte-identical to predict. Both "
-      "modes serve GET /metrics /healthz\n/readyz /buildinfo on a "
-      "second port):\n"
-      "  --stdio            single-stream stdin/stdout mode "
-      "(byte-identical to predict)\n"
+      "serve (multi-client TCP prediction server speaking the "
+      "psmgen.serve.v1 framed protocol\non 127.0.0.1, one predictor "
+      "session per connection, graceful drain on SIGINT/SIGTERM;\n"
+      "GET /metrics /healthz /readyz /buildinfo /debug/* on a second "
+      "port):\n"
       "  --serve-port N     prediction protocol port "
       "(default 9465; 0 = ephemeral)\n"
       "  --serve-port-file F  write the bound prediction port to F\n"
@@ -129,12 +121,13 @@ int usage() {
       "  --port-file F      write the bound port to F (for --port 0)\n"
       "  --window N         drift-detection sliding window rows "
       "(default 2048)\n"
-      "  --drift-wsp PCT    windowed WSP %% that flips /readyz to 503 "
-      "(default 35; degraded at half)\n"
-      "  --drift-z Z        power-residual EWMA z-score that flips "
-      "/readyz to 503 (default 6; degraded at half)\n"
-      "  --linger-ms N      keep serving N ms after the input stream "
-      "ends (default 0)\n"
+      "  --drift-wsp PCT    each session's windowed-WSP %% drift "
+      "threshold (default 35; degraded at half)\n"
+      "  --drift-z Z        each session's power-residual EWMA z drift "
+      "threshold (default 6;\n"
+      "                     degraded at half); a session's drift status "
+      "shows in /debug/sessions\n"
+      "                     and in its FinAck\n"
       "  --flight-events N  flight-recorder ring capacity per thread "
       "(default 1024; 0 disables)\n"
       "  --flight-dump-dir D  write automatic flight dumps (protocol "
@@ -177,16 +170,14 @@ struct Args {
   // serve endpoint surface.
   int port = 9464;
   std::string port_file;
-  bool stdio = false;
   int serve_port = 9465;
   std::string serve_port_file;
   std::size_t max_sessions = 256;
   double rate = 0.0;
-  long idle_timeout_ms = 30000;
+  int idle_timeout_ms = 30000;
   std::size_t window = 2048;
   double drift_wsp = 35.0;
   double drift_z = 6.0;
-  long linger_ms = 0;
   /// Flight-recorder ring capacity per thread; 0 disables the recorder.
   std::size_t flight_events = 1024;
   /// Directory for automatic flight dumps (protocol error, drift, fatal
@@ -212,162 +203,100 @@ struct Args {
 
 /// Parses everything after the subcommand. Exactly one pass: every flag
 /// is handled here, and an unknown flag is a hard error (exit non-zero
-/// via usage()), never silently ignored.
+/// via usage()), never silently ignored. A numeric flag must parse as a
+/// whole and fall in its range, or it is rejected with cli.bad_flag.
 bool parse(int argc, char** argv, Args& args) {
+  constexpr long long kNoMax = std::numeric_limits<long long>::max();
+  constexpr double kFiniteMax = std::numeric_limits<double>::max();
+  constexpr double kPositive = std::numeric_limits<double>::denorm_min();
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     auto value = [&](std::string& into) {
-      const char* v = next();
-      if (!v) {
+      if (i + 1 >= argc) {
         obs::error("cli.flag_needs_value", {{"flag", flag}});
         return false;
       }
-      into = v;
+      into = argv[++i];
       return true;
     };
+    auto checked = [&](const std::string& v, const auto& parsed,
+                       const char* why) {
+      if (!parsed) {
+        obs::error("cli.bad_flag",
+                   {{"flag", flag}, {"value", v}, {"why", why}});
+      }
+      return parsed.has_value();
+    };
+    auto integer = [&](auto& into, long long min, long long max,
+                       const char* why) {
+      std::string v;
+      if (!value(v)) return false;
+      const auto parsed = common::parseInteger(v, min, max);
+      if (!checked(v, parsed, why)) return false;
+      into = static_cast<std::remove_reference_t<decltype(into)>>(*parsed);
+      return true;
+    };
+    auto real = [&](double& into, double min, double max, const char* why) {
+      std::string v;
+      if (!value(v)) return false;
+      const auto parsed = common::parseReal(v, min, max);
+      if (!checked(v, parsed, why)) return false;
+      into = *parsed;
+      return true;
+    };
+    bool ok = true;
     if (flag == "--func") {
-      std::string v;
-      if (!value(v)) return false;
-      args.func.push_back(v);
+      ok = value(args.func.emplace_back());
     } else if (flag == "--power") {
-      std::string v;
-      if (!value(v)) return false;
-      args.power.push_back(v);
+      ok = value(args.power.emplace_back());
     } else if (flag == "--eval") {
-      if (!value(args.eval)) return false;
+      ok = value(args.eval);
     } else if (flag == "--ref") {
-      if (!value(args.ref)) return false;
+      ok = value(args.ref);
     } else if (flag == "--dot") {
-      if (!value(args.dot)) return false;
+      ok = value(args.dot);
     } else if (flag == "--systemc") {
-      if (!value(args.systemc)) return false;
+      ok = value(args.systemc);
     } else if (flag == "--out") {
-      if (!value(args.out)) return false;
+      ok = value(args.out);
     } else if (flag == "--psm") {
-      if (!value(args.psm)) return false;
+      ok = value(args.psm);
     } else if (flag == "--plain") {
       args.plain = true;
     } else if (flag == "--threads") {
-      std::string v;
-      if (!value(v)) return false;
-      args.threads = static_cast<unsigned>(std::atoi(v.c_str()));
+      ok = integer(args.threads, 0, 1024,
+                   "expects a thread count in [0, 1024]");
     } else if (flag == "--chunk") {
-      std::string v;
-      if (!value(v)) return false;
-      const long n = std::atol(v.c_str());
-      if (n <= 0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects a positive row count"}});
-        return false;
-      }
-      args.chunk = static_cast<std::size_t>(n);
+      ok = integer(args.chunk, 1, kNoMax, "expects a positive row count");
     } else if (flag == "--port") {
-      std::string v;
-      if (!value(v)) return false;
-      const long n = std::atol(v.c_str());
-      if (n < 0 || n > 65535) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects a port in [0, 65535]"}});
-        return false;
-      }
-      args.port = static_cast<int>(n);
+      ok = integer(args.port, 0, 65535, "expects a port in [0, 65535]");
     } else if (flag == "--port-file") {
-      if (!value(args.port_file)) return false;
-    } else if (flag == "--stdio") {
-      args.stdio = true;
+      ok = value(args.port_file);
     } else if (flag == "--serve-port") {
-      std::string v;
-      if (!value(v)) return false;
-      const long n = std::atol(v.c_str());
-      if (n < 0 || n > 65535) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects a port in [0, 65535]"}});
-        return false;
-      }
-      args.serve_port = static_cast<int>(n);
+      ok = integer(args.serve_port, 0, 65535,
+                   "expects a port in [0, 65535]");
     } else if (flag == "--serve-port-file") {
-      if (!value(args.serve_port_file)) return false;
+      ok = value(args.serve_port_file);
     } else if (flag == "--max-sessions") {
-      std::string v;
-      if (!value(v)) return false;
-      const long n = std::atol(v.c_str());
-      if (n <= 0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects a positive count"}});
-        return false;
-      }
-      args.max_sessions = static_cast<std::size_t>(n);
+      ok = integer(args.max_sessions, 1, kNoMax, "expects a positive count");
     } else if (flag == "--rate") {
-      std::string v;
-      if (!value(v)) return false;
-      args.rate = std::atof(v.c_str());
-      if (args.rate < 0.0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects rows/s >= 0"}});
-        return false;
-      }
+      ok = real(args.rate, 0.0, kFiniteMax, "expects rows/s >= 0");
     } else if (flag == "--idle-timeout-ms") {
-      std::string v;
-      if (!value(v)) return false;
-      args.idle_timeout_ms = std::atol(v.c_str());
-      if (args.idle_timeout_ms <= 0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects milliseconds > 0"}});
-        return false;
-      }
+      ok = integer(args.idle_timeout_ms, 1, std::numeric_limits<int>::max(),
+                   "expects milliseconds in [1, 2147483647]");
     } else if (flag == "--window") {
-      std::string v;
-      if (!value(v)) return false;
-      const long n = std::atol(v.c_str());
-      if (n <= 0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects a positive row count"}});
-        return false;
-      }
-      args.window = static_cast<std::size_t>(n);
+      ok = integer(args.window, 1, kNoMax, "expects a positive row count");
     } else if (flag == "--drift-wsp") {
-      std::string v;
-      if (!value(v)) return false;
-      args.drift_wsp = std::atof(v.c_str());
-      if (args.drift_wsp <= 0.0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects a positive percentage"}});
-        return false;
-      }
+      ok = real(args.drift_wsp, kPositive, kFiniteMax,
+                "expects a positive percentage");
     } else if (flag == "--drift-z") {
-      std::string v;
-      if (!value(v)) return false;
-      args.drift_z = std::atof(v.c_str());
-      if (args.drift_z <= 0.0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects a positive z-score"}});
-        return false;
-      }
-    } else if (flag == "--linger-ms") {
-      std::string v;
-      if (!value(v)) return false;
-      args.linger_ms = std::atol(v.c_str());
-      if (args.linger_ms < 0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects milliseconds >= 0"}});
-        return false;
-      }
+      ok = real(args.drift_z, kPositive, kFiniteMax,
+                "expects a positive z-score");
     } else if (flag == "--flight-events") {
-      std::string v;
-      if (!value(v)) return false;
-      const long n = std::atol(v.c_str());
-      if (n < 0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag},
-                    {"why", "expects an event count >= 0 (0 disables)"}});
-        return false;
-      }
-      args.flight_events = static_cast<std::size_t>(n);
+      ok = integer(args.flight_events, 0, kNoMax,
+                   "expects an event count >= 0 (0 disables)");
     } else if (flag == "--flight-dump-dir") {
-      if (!value(args.flight_dump_dir)) return false;
+      ok = value(args.flight_dump_dir);
     } else if (flag == "--json") {
       args.lint_json = true;
     } else if (flag == "--werror") {
@@ -375,44 +304,25 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (flag == "--lint") {
       args.lint_after_train = true;
     } else if (flag == "--epsilon") {
-      std::string v;
-      if (!value(v)) return false;
-      args.lint_epsilon = std::atof(v.c_str());
-      if (args.lint_epsilon < 0.0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects a tolerance >= 0"}});
-        return false;
-      }
+      ok = real(args.lint_epsilon, 0.0, kFiniteMax,
+                "expects a tolerance >= 0");
     } else if (flag == "--suppress") {
       std::string v;
       if (!value(v)) return false;
       // Accept both repeated flags and one comma-separated list.
-      std::size_t start = 0;
-      while (start <= v.size()) {
-        const std::size_t comma = v.find(',', start);
-        const std::string id =
-            v.substr(start, comma == std::string::npos ? comma : comma - start);
-        if (!id.empty()) args.lint_suppress.push_back(id);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
+      for (std::string& id : common::split(v, ',')) {
+        if (!id.empty()) args.lint_suppress.push_back(std::move(id));
       }
     } else if (flag == "--log-level") {
-      if (!value(args.log_level)) return false;
+      ok = value(args.log_level);
     } else if (flag == "--metrics-out") {
-      if (!value(args.metrics_out)) return false;
+      ok = value(args.metrics_out);
     } else if (flag == "--trace-out") {
-      if (!value(args.trace_out)) return false;
+      ok = value(args.trace_out);
     } else if (flag == "--profile-out") {
-      if (!value(args.profile_out)) return false;
+      ok = value(args.profile_out);
     } else if (flag == "--profile-hz") {
-      std::string v;
-      if (!value(v)) return false;
-      args.profile_hz = std::atof(v.c_str());
-      if (args.profile_hz < 1.0 || args.profile_hz > 1000.0) {
-        obs::error("cli.bad_flag",
-                   {{"flag", flag}, {"why", "expects a rate in [1, 1000]"}});
-        return false;
-      }
+      ok = real(args.profile_hz, 1.0, 1000.0, "expects a rate in [1, 1000]");
     } else if (flag == "--log-json") {
       args.log_json = true;
     } else if (flag == "--quiet") {
@@ -423,6 +333,7 @@ bool parse(int argc, char** argv, Args& args) {
     } else {
       args.positional.push_back(flag);
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -601,22 +512,27 @@ int runTrain(const Args& args) {
   return 0;
 }
 
-int runPredict(const Args& args) {
-  // Cold-load latency (artifact -> servable model) is a first-class
-  // serving metric: it bounds predictor restart time.
+/// Loads the artifact at `path` and logs `event` with its shape. The
+/// cold-load latency (artifact -> servable model) is a first-class
+/// serving metric: it bounds predictor restart time.
+serialize::PsmModel loadModel(const std::string& path, const char* event) {
   const auto load0 = std::chrono::steady_clock::now();
-  const serialize::PsmModel model = serialize::loadPsmModel(args.psm);
+  serialize::PsmModel model = serialize::loadPsmModel(path);
   const double cold_load_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - load0)
           .count();
   obs::metrics().gauge("predict.cold_load_ms").set(cold_load_ms);
-  obs::info("predict.loaded_model",
-            {{"path", args.psm},
-             {"states", model.psm.stateCount()},
-             {"transitions", model.psm.transitionCount()},
-             {"propositions", model.domain.size()},
-             {"cold_load_ms", cold_load_ms}});
+  obs::info(event, {{"path", path},
+                    {"states", model.psm.stateCount()},
+                    {"transitions", model.psm.transitionCount()},
+                    {"propositions", model.domain.size()},
+                    {"cold_load_ms", cold_load_ms}});
+  return model;
+}
+
+int runPredict(const Args& args) {
+  const serialize::PsmModel model = loadModel(args.psm, "predict.loaded_model");
 
   // Reference samples are compared online so nothing scales with the
   // evaluation trace: the estimate is printed and folded into the MRE
@@ -661,44 +577,13 @@ int runPredict(const Args& args) {
   return 0;
 }
 
-void appendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-/// The /buildinfo payload: build identity plus the loaded artifact's
-/// format version and shape, so a scrape can tell *which* model a
-/// drifting instance is serving.
-std::string buildInfoJson(const std::string& model_path,
-                          const serialize::PsmModel& model) {
-  std::string out = "{\"name\": \"psmgen\", \"version\": ";
-  appendJsonString(out, common::kVersion);
-  out += ", \"git_sha\": ";
-  appendJsonString(out, common::kGitSha);
-  out += ", \"build_type\": ";
-  appendJsonString(out, common::kBuildType);
-  out += ", \"psm_format_version\": " +
-         std::to_string(serialize::kFormatVersion);
-  out += ", \"model\": {\"path\": ";
-  appendJsonString(out, model_path);
-  out += ", \"states\": " + std::to_string(model.psm.stateCount());
-  out += ", \"transitions\": " + std::to_string(model.psm.transitionCount());
-  out += ", \"propositions\": " + std::to_string(model.domain.size());
-  out += "}}\n";
-  return out;
-}
-
 int printVersion() {
   std::printf("psmgen %s (git %s, %s, psm-format v%u)\n", common::kVersion,
               common::kGitSha, common::kBuildType, serialize::kFormatVersion);
   return 0;
 }
 
-// SIGINT/SIGTERM flip this; the serve loops poll it to begin a graceful
+// SIGINT/SIGTERM flip this; the serve loop polls it to begin a graceful
 // drain. std::atomic<bool> is async-signal-safe when lock-free, which it
 // is on every platform psmgen targets. This is the *only* state the
 // shutdown handler may touch: scripts/signal_safety_gate.py walks the
@@ -712,8 +597,8 @@ extern "C" void handleShutdownSignal(int) {
 }
 
 /// sigaction (not signal()) and deliberately no SA_RESTART, so a
-/// blocking read on stdin wakes with EINTR instead of resuming and
-/// ignoring the shutdown request until the next row arrives.
+/// blocking call in the main thread wakes with EINTR instead of
+/// resuming and ignoring the shutdown request.
 void installServeSignalHandlers() {
   struct sigaction sa {};
   sa.sa_handler = handleShutdownSignal;
@@ -737,105 +622,76 @@ bool writePortFile(const std::string& path, std::uint16_t port) {
   return true;
 }
 
-/// The legacy single-stream mode (`--stdio`): rows from --eval/stdin,
-/// estimates on stdout — byte-identical to `psmgen predict` (asserted by
-/// test and the CI smoke job) while the HTTP thread answers scrapes.
-int runServeStdio(const Args& args, const serialize::PsmModel& model,
-                  const runtime::QualityMonitorConfig& qconfig,
-                  obs::HttpServer& server, const std::string& buildinfo) {
-  std::vector<double> ref;
-  if (!args.ref.empty()) {
-    ref = trace::loadPowerTrace(args.ref).samples();
-  }
-
-  std::unique_ptr<runtime::StreamingTraceReader> reader;
-  if (!args.eval.empty()) {
-    reader = std::make_unique<runtime::StreamingTraceReader>(
-        args.eval, runtime::StreamingTraceReader::Options{args.chunk});
-  } else {
-    reader = std::make_unique<runtime::StreamingTraceReader>(
-        std::cin, runtime::StreamingTraceReader::Options{args.chunk});
-  }
-
-  runtime::OnlinePredictor predictor(model);
-  runtime::QualityMonitor monitor(predictor, model.psm, qconfig);
-  server.handle("/readyz", [&monitor](const obs::HttpServer::Request&) {
-    return runtime::readyzResponse(monitor);
-  });
-  // Stdio mode has no session registry; /debug/sessions explains that
-  // while /debug/events and /debug/build work as in TCP mode.
-  serve::registerDebugRoutes(server, nullptr, buildinfo);
-  if (!server.listen(static_cast<std::uint16_t>(args.port))) return 1;
-  server.start();
-  if (!args.port_file.empty() &&
-      !writePortFile(args.port_file, server.port())) {
-    return 1;
-  }
-
-  // Feed thread (this one): rows in, estimates out — the same stdout
-  // contract as predict, while the server thread answers scrapes.
-  std::printf("instant,power_w\n");
-  std::vector<common::BitVector> row;
-  std::size_t t = 0;
-  while (!g_shutdown.load(std::memory_order_relaxed) && reader->next(row)) {
-    const double estimate = t < ref.size()
-                                ? monitor.predictRow(row, ref[t])
-                                : monitor.predictRow(row);
-    std::printf("%zu,%.9e\n", t, estimate);
-    ++t;
-  }
-  const runtime::PredictorStats& stats = predictor.stats();
-  obs::metrics().gauge("predict.wsp_percent").set(stats.wspPercent());
-  obs::metrics().gauge("predict.rows_per_second").set(stats.rowsPerSecond());
-  obs::info("serve.summary",
-            {{"instants", stats.rows},
-             {"wsp_percent", stats.wspPercent()},
-             {"resyncs", stats.resyncs},
-             {"lost", stats.lost_instants},
-             {"rows_per_second", stats.rowsPerSecond()},
-             {"quality_status", runtime::driftStatusName(monitor.status())},
-             {"port", server.port()}});
-  // A shutdown signal skips the linger: the operator asked us to leave.
-  if (args.linger_ms > 0 && !g_shutdown.load(std::memory_order_relaxed)) {
-    std::fflush(stdout);
-    obs::info("serve.linger", {{"ms", args.linger_ms}});
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(args.linger_ms);
-    while (!g_shutdown.load(std::memory_order_relaxed) &&
-           std::chrono::steady_clock::now() < until) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
-  server.stop();
-  return 0;
-}
-
-/// The default mode: a multi-client TCP prediction server speaking the
+/// Runs the multi-client TCP prediction server speaking the
 /// psmgen.serve.v1 framed protocol, one OnlinePredictor per session over
-/// the shared model. Runs until SIGINT/SIGTERM, then drains gracefully.
-int runServeTcp(const Args& args, const serialize::PsmModel& model,
-                const runtime::QualityMonitorConfig& qconfig,
-                obs::HttpServer& server, const std::string& buildinfo) {
+/// the shared model, with the HTTP endpoint on a second port. Runs until
+/// SIGINT/SIGTERM, then drains gracefully.
+int runServe(const Args& args) {
+  installServeSignalHandlers();
+  // /metrics is the point of serve: the registry runs enabled regardless
+  // of --metrics-out.
+  obs::metrics().setEnabled(true);
+
+  // The flight recorder runs whenever serving does: per-thread rings of
+  // the last --flight-events wide events, dumped automatically on
+  // protocol errors, drift transitions and fatal signals when a dump
+  // directory is configured.
+  obs::flightRecorder().configure(args.flight_events);
+  obs::flightRecorder().setEnabled(args.flight_events > 0);
+  if (!args.flight_dump_dir.empty()) {
+    obs::flightRecorder().setDumpDir(args.flight_dump_dir);
+    obs::installFatalSignalDump();
+  }
+  const serialize::PsmModel model = loadModel(args.psm, "serve.loaded_model");
+
   serve::ServerConfig config;
   config.port = static_cast<std::uint16_t>(args.serve_port);
   config.max_sessions = args.max_sessions;
   config.rows_per_second = args.rate;
-  config.idle_timeout_ms = static_cast<int>(args.idle_timeout_ms);
+  config.idle_timeout_ms = args.idle_timeout_ms;
   config.model_id = args.psm;
-  config.quality = qconfig;
+  config.quality.window_rows = args.window;
+  config.quality.min_rows = std::min(config.quality.min_rows, args.window);
+  config.quality.wsp_drifted_percent = args.drift_wsp;
+  config.quality.wsp_degraded_percent = args.drift_wsp / 2.0;
+  config.quality.residual_drifted_z = args.drift_z;
+  config.quality.residual_degraded_z = args.drift_z / 2.0;
   serve::PredictionServer prediction(model, config);
 
-  // /readyz flips to 503 as soon as the drain starts so a load balancer
-  // stops routing to an instance that refuses new sessions.
-  server.handle("/readyz", [&prediction](const obs::HttpServer::Request&) {
-    if (prediction.draining()) {
-      return obs::HttpServer::Response{503, "text/plain; charset=utf-8",
-                                       "draining\n"};
-    }
+  obs::HttpServer server;
+  const std::string model_label = args.psm;
+  server.handle(
+      "/metrics", [model_label](const obs::HttpServer::Request& request) {
+        obs::PrometheusOptions options;
+        options.const_labels = {{"model", model_label}};
+        // Exemplars are OpenMetrics-only syntax, so the classic 0.0.4
+        // exposition stays exemplar-free; a scraper that negotiates
+        // OpenMetrics via Accept gets them (plus `# EOF`).
+        options.openmetrics =
+            obs::acceptsOpenMetrics(request.header("accept"));
+        return obs::HttpServer::Response{
+            200,
+            options.openmetrics ? obs::kOpenMetricsContentType
+                                : obs::kPrometheusContentType,
+            obs::renderPrometheus(obs::metrics(), options)};
+      });
+  server.handle("/healthz", [](const obs::HttpServer::Request&) {
     return obs::HttpServer::Response{200, "text/plain; charset=utf-8",
                                      "ok\n"};
   });
-  serve::registerDebugRoutes(server, &prediction, buildinfo);
+  // /readyz flips to 503 as soon as the drain starts so a load balancer
+  // stops routing to an instance that refuses new sessions.
+  server.handle("/readyz", [&prediction](const obs::HttpServer::Request&) {
+    const bool draining = prediction.draining();
+    return obs::HttpServer::Response{draining ? 503 : 200,
+                                     "text/plain; charset=utf-8",
+                                     draining ? "draining\n" : "ok\n"};
+  });
+  const std::string buildinfo = serve::buildInfoJson(args.psm, model);
+  server.handle("/buildinfo", [buildinfo](const obs::HttpServer::Request&) {
+    return obs::HttpServer::Response{200, "application/json", buildinfo};
+  });
+  serve::registerDebugRoutes(server, prediction, buildinfo);
   if (!server.listen(static_cast<std::uint16_t>(args.port))) return 1;
   server.start();
   if (!prediction.listen()) return 1;
@@ -866,74 +722,6 @@ int runServeTcp(const Args& args, const serialize::PsmModel& model,
              {"port", prediction.port()}});
   server.stop();
   return 0;
-}
-
-int runServe(const Args& args) {
-  installServeSignalHandlers();
-  const auto load0 = std::chrono::steady_clock::now();
-  const serialize::PsmModel model = serialize::loadPsmModel(args.psm);
-  const double cold_load_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - load0)
-          .count();
-  // /metrics is the point of serve: the registry runs enabled regardless
-  // of --metrics-out (results on stdout stay byte-identical either way).
-  obs::metrics().setEnabled(true);
-  obs::metrics().gauge("predict.cold_load_ms").set(cold_load_ms);
-
-  // The flight recorder runs whenever serving does: per-thread rings of
-  // the last --flight-events wide events, dumped automatically on
-  // protocol errors, drift transitions and fatal signals when a dump
-  // directory is configured.
-  obs::flightRecorder().configure(args.flight_events);
-  obs::flightRecorder().setEnabled(args.flight_events > 0);
-  if (!args.flight_dump_dir.empty()) {
-    obs::flightRecorder().setDumpDir(args.flight_dump_dir);
-    obs::installFatalSignalDump();
-  }
-  obs::info("serve.loaded_model",
-            {{"path", args.psm},
-             {"states", model.psm.stateCount()},
-             {"transitions", model.psm.transitionCount()},
-             {"propositions", model.domain.size()},
-             {"cold_load_ms", cold_load_ms}});
-
-  runtime::QualityMonitorConfig qconfig;
-  qconfig.window_rows = args.window;
-  qconfig.min_rows = std::min(qconfig.min_rows, args.window);
-  qconfig.wsp_drifted_percent = args.drift_wsp;
-  qconfig.wsp_degraded_percent = args.drift_wsp / 2.0;
-  qconfig.residual_drifted_z = args.drift_z;
-  qconfig.residual_degraded_z = args.drift_z / 2.0;
-
-  obs::HttpServer server;
-  const std::string model_label = args.psm;
-  server.handle(
-      "/metrics", [model_label](const obs::HttpServer::Request& request) {
-        obs::PrometheusOptions options;
-        options.const_labels = {{"model", model_label}};
-        // Exemplars are OpenMetrics-only syntax, so the classic 0.0.4
-        // exposition stays exemplar-free; a scraper that negotiates
-        // OpenMetrics via Accept gets them (plus `# EOF`).
-        options.openmetrics =
-            obs::acceptsOpenMetrics(request.header("accept"));
-        return obs::HttpServer::Response{
-            200,
-            options.openmetrics ? obs::kOpenMetricsContentType
-                                : obs::kPrometheusContentType,
-            obs::renderPrometheus(obs::metrics(), options)};
-      });
-  server.handle("/healthz", [](const obs::HttpServer::Request&) {
-    return obs::HttpServer::Response{200, "text/plain; charset=utf-8",
-                                     "ok\n"};
-  });
-  const std::string buildinfo = buildInfoJson(args.psm, model);
-  server.handle("/buildinfo", [buildinfo](const obs::HttpServer::Request&) {
-    return obs::HttpServer::Response{200, "application/json", buildinfo};
-  });
-
-  if (args.stdio) return runServeStdio(args, model, qconfig, server, buildinfo);
-  return runServeTcp(args, model, qconfig, server, buildinfo);
 }
 
 int runDemo(const std::string& name, unsigned threads) {

@@ -1,14 +1,18 @@
-// Unit tests for the deterministic PRNG and string helpers.
+// Unit tests for the deterministic PRNG, the string helpers, the strict
+// number parsers and the JSON encoder.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 
@@ -153,6 +157,93 @@ TEST(Strings, ErrnoMessageConcurrentCallsDoNotInterfere) {
   a.join();
   b.join();
   EXPECT_FALSE(mismatch.load());
+}
+
+TEST(Strings, ParseIntegerAcceptsOnlyWholeInRangeIntegers) {
+  EXPECT_EQ(parseInteger("0", 0, 10), 0);
+  EXPECT_EQ(parseInteger("10", 0, 10), 10);
+  EXPECT_EQ(parseInteger("-3", -5, 5), -3);
+  EXPECT_EQ(parseInteger("9223372036854775807", 0,
+                         std::numeric_limits<long long>::max()),
+            std::numeric_limits<long long>::max());
+  for (const char* bad : {"", " 1", "1 ", "+1", "abc", "12abc", "1.0", "0x10",
+                          "-", "99999999999999999999"}) {
+    EXPECT_FALSE(parseInteger(bad, std::numeric_limits<long long>::min(),
+                              std::numeric_limits<long long>::max()))
+        << '"' << bad << '"';
+  }
+  // Out of range on either side.
+  EXPECT_FALSE(parseInteger("-1", 0, 1024));
+  EXPECT_FALSE(parseInteger("1025", 0, 1024));
+  EXPECT_FALSE(parseInteger("65536", 0, 65535));
+}
+
+TEST(Strings, ParseRealAcceptsOnlyWholeInRangeNumbers) {
+  EXPECT_EQ(parseReal("2.5", 1.0, 30.0), 2.5);
+  EXPECT_EQ(parseReal("1", 1.0, 30.0), 1.0);
+  EXPECT_EQ(parseReal("30", 1.0, 30.0), 30.0);
+  EXPECT_EQ(parseReal("1e-9", 0.0, 1.0), 1e-9);
+  EXPECT_EQ(parseReal("-0.5", -1.0, 1.0), -0.5);
+  const double max = std::numeric_limits<double>::max();
+  for (const char* bad : {"", " 1", "1 ", "+1", "abc", "2.5x", "nan", "inf",
+                          "-inf", "1e999", "0x1p3"}) {
+    EXPECT_FALSE(parseReal(bad, -max, max)) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parseReal("0.99", 1.0, 30.0));
+  EXPECT_FALSE(parseReal("30.01", 1.0, 30.0));
+  EXPECT_FALSE(parseReal("0", std::numeric_limits<double>::denorm_min(), max));
+}
+
+TEST(Json, StringEscapesQuotesBackslashesAndEveryControlByte) {
+  std::string control;
+  for (int c = 0x00; c <= 0x1F; ++c) control += static_cast<char>(c);
+  std::string expected = "\"";
+  for (int c = 0x00; c <= 0x1F; ++c) {
+    switch (c) {
+      case '\n': expected += "\\n"; break;
+      case '\r': expected += "\\r"; break;
+      case '\t': expected += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        expected += buf;
+      }
+    }
+  }
+  expected += "\"";
+  std::string out;
+  appendJsonString(out, control);
+  EXPECT_EQ(out, expected);
+
+  out.clear();
+  appendJsonString(out, "say \"hi\" \\ bye");
+  EXPECT_EQ(out, "\"say \\\"hi\\\" \\\\ bye\"");
+
+  // Multi-byte UTF-8 (a 2-byte, a 3-byte and a 4-byte sequence) and
+  // DEL pass through untouched.
+  const std::string utf8 = "\xC3\xA9\xE2\x82\xAC\xF0\x9F\x94\x8B\x7F";
+  out.clear();
+  appendJsonString(out, utf8);
+  EXPECT_EQ(out, '"' + utf8 + '"');
+}
+
+TEST(Json, NumbersUseNineSignificantDigitsAndZeroForNonFinite) {
+  std::string out;
+  appendJsonNumber(out, 0.1);
+  EXPECT_EQ(out, "0.1");
+  out.clear();
+  appendJsonNumber(out, 1.0 / 3.0);
+  EXPECT_EQ(out, "0.333333333");
+  out.clear();
+  appendJsonNumber(out, 1e21);
+  EXPECT_EQ(out, "1e+21");
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    out.clear();
+    appendJsonNumber(out, v);
+    EXPECT_EQ(out, "0");
+  }
 }
 
 }  // namespace

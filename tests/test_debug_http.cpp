@@ -1,7 +1,8 @@
 // Raw-socket tests for the /debug introspection routes (serve/debug_http):
 // exact status codes (200/400/404/405), HEAD behaviour, bounded response
-// sizes, the live-session table reflecting every open session, and the
-// automatic flight-recorder dump on a malformed frame.
+// sizes, the live-session table reflecting every open session, the
+// automatic flight-recorder dump on a malformed frame, and valid
+// /buildinfo JSON whatever bytes the model path holds.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -95,6 +97,114 @@ std::size_t countOccurrences(const std::string& haystack,
   return count;
 }
 
+/// Strict RFC 8259 check: `text` is exactly one JSON value, optionally
+/// surrounded by whitespace. Raw control bytes inside a string fail it,
+/// exactly as they fail Python's json.loads.
+class JsonChecker {
+ public:
+  explicit JsonChecker(const std::string& text) : s_(text) {}
+
+  bool valid() {
+    skipSpace();
+    if (!value()) return false;
+    skipSpace();
+    return i_ == s_.size();
+  }
+
+ private:
+  bool value() {
+    if (i_ >= s_.size()) return false;
+    switch (s_[i_]) {
+      case '{': return container('}', true);
+      case '[': return container(']', false);
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+
+  bool container(char close, bool object) {
+    ++i_;
+    skipSpace();
+    if (eat(close)) return true;
+    for (;;) {
+      skipSpace();
+      if (object) {
+        if (!string()) return false;
+        skipSpace();
+        if (!eat(':')) return false;
+        skipSpace();
+      }
+      if (!value()) return false;
+      skipSpace();
+      if (eat(close)) return true;
+      if (!eat(',')) return false;
+    }
+  }
+
+  bool string() {
+    if (!eat('"')) return false;
+    while (i_ < s_.size()) {
+      const unsigned char c = static_cast<unsigned char>(s_[i_++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      if (i_ >= s_.size()) return false;
+      const char e = s_[i_++];
+      if (e == 'u') {
+        for (int k = 0; k < 4; ++k) {
+          if (i_ >= s_.size() || !std::isxdigit(static_cast<unsigned char>(
+                                     s_[i_++]))) {
+            return false;
+          }
+        }
+      } else if (std::string("\"\\/bfnrt").find(e) == std::string::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+
+  bool number() {
+    const std::size_t start = i_;
+    eat('-');
+    while (i_ < s_.size() &&
+           std::string("0123456789.eE+-").find(s_[i_]) != std::string::npos) {
+      ++i_;
+    }
+    return i_ > start && std::isdigit(static_cast<unsigned char>(s_[i_ - 1]));
+  }
+
+  bool literal(const char* word) {
+    const std::string w(word);
+    if (s_.compare(i_, w.size(), w) != 0) return false;
+    i_ += w.size();
+    return true;
+  }
+
+  bool eat(char c) {
+    if (i_ < s_.size() && s_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+
+  void skipSpace() {
+    while (i_ < s_.size() && std::string(" \t\r\n").find(s_[i_]) !=
+                                 std::string::npos) {
+      ++i_;
+    }
+  }
+
+  const std::string& s_;
+  std::size_t i_ = 0;
+};
+
+bool isValidJson(const std::string& text) { return JsonChecker(text).valid(); }
+
 /// One small RAM characterization shared by the whole suite: just enough
 /// model for sessions to stream rows through.
 struct ServedModel {
@@ -152,7 +262,7 @@ class DebugHttpTest : public ::testing::Test {
     ASSERT_TRUE(prediction_->listen());
     prediction_->start();
 
-    serve::registerDebugRoutes(http_, prediction_.get(), kBuildJson);
+    serve::registerDebugRoutes(http_, *prediction_, kBuildJson);
     ASSERT_TRUE(http_.listen(0));
     http_.start();
   }
@@ -433,16 +543,20 @@ TEST_F(DebugHttpTest, PprofThreadsListsTheLastCaptureWithLaneNames) {
   EXPECT_NE(body.find("\"lane_name\": \"main\""), std::string::npos) << body;
 }
 
-TEST(DebugHttpStdio, SessionsRouteExplainsItselfWithoutARegistry) {
-  obs::HttpServer http;
-  serve::registerDebugRoutes(http, nullptr, kBuildJson);
-  ASSERT_TRUE(http.listen(0));
-  http.start();
-  const std::string response = get(http.port(), "/debug/sessions");
-  EXPECT_EQ(statusOf(response), 404);
-  EXPECT_NE(bodyOf(response).find("stdio"), std::string::npos);
-  EXPECT_EQ(statusOf(get(http.port(), "/debug/build")), 200);
-  http.stop();
+TEST(DebugHttpBuildInfo, ControlBytesInTheModelPathStayValidJson) {
+  const serialize::PsmModel& model = servedModel().model;
+  const std::string body =
+      serve::buildInfoJson("models/ram\tv2\nfinal \"x\".psm", model);
+  EXPECT_TRUE(isValidJson(body)) << body;
+  EXPECT_NE(body.find("\"path\": \"models/ram\\tv2\\nfinal \\\"x\\\".psm\""),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find("\"states\": " + std::to_string(model.psm.stateCount())),
+            std::string::npos)
+      << body;
+  // The checker rejects a raw tab inside a string and accepts its escape.
+  EXPECT_FALSE(isValidJson("{\"path\": \"a\tb\"}"));
+  EXPECT_TRUE(isValidJson("{\"path\": \"a\\tb\", \"n\": [1, -2.5e3, true]}\n"));
 }
 
 }  // namespace
