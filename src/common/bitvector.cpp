@@ -1,6 +1,7 @@
 #include "common/bitvector.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -12,6 +13,17 @@ constexpr unsigned kLimbBits = 64;
 std::size_t limbsFor(unsigned width) {
   return (static_cast<std::size_t>(width) + kLimbBits - 1) / kLimbBits;
 }
+
+/// Value of each byte as a hex digit; 16 marks a non-digit.
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+  std::array<std::uint8_t, 256> t{};
+  t.fill(16);
+  for (int c = 0; c < 10; ++c) t['0' + c] = static_cast<std::uint8_t>(c);
+  for (int c = 0; c < 6; ++c) {
+    t['a' + c] = t['A' + c] = static_cast<std::uint8_t>(10 + c);
+  }
+  return t;
+}();
 }  // namespace
 
 BitVector::BitVector(unsigned width, std::uint64_t value)
@@ -40,35 +52,53 @@ BitVector BitVector::fromBinary(const std::string& bits) {
   return v;
 }
 
-BitVector BitVector::fromHex(const std::string& hex, unsigned width) {
-  const unsigned natural = static_cast<unsigned>(hex.size()) * 4;
-  const unsigned w = width == 0 ? natural : width;
-  BitVector v(w);
-  unsigned pos = 0;  // bit position of the next nibble's LSB
-  for (std::size_t i = hex.size(); i-- > 0;) {
-    const char c = hex[i];
-    unsigned nib = 0;
-    if (c >= '0' && c <= '9') {
-      nib = static_cast<unsigned>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nib = static_cast<unsigned>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      nib = static_cast<unsigned>(c - 'A' + 10);
-    } else {
+BitVector BitVector::fromHex(std::string_view hex, unsigned width) {
+  BitVector v;
+  v.assignHex(hex, width);
+  return v;
+}
+
+void BitVector::assignHex(std::string_view hex, unsigned width) {
+  width_ = width == 0 ? static_cast<unsigned>(hex.size()) * 4 : width;
+  limbs_.assign(limbsFor(width_), 0);
+  // Digit i, counted from the right, holds bits [4i, 4i + 4). The first
+  // `body` digits lie wholly inside the width, so only a bad character
+  // can fail there: they are gathered 16 to a limb with one store each.
+  // The digits above them are checked one by one. Either way the first
+  // error in right-to-left order is the one thrown.
+  const std::size_t body = std::min<std::size_t>(hex.size(), width_ / 4);
+  const auto digit = [hex](std::size_t i) -> unsigned {
+    return kHexValue[static_cast<unsigned char>(hex[hex.size() - 1 - i])];
+  };
+  std::size_t i = 0;
+  for (std::size_t k = 0; i < body; ++k) {
+    const std::size_t end = std::min<std::size_t>(body, i + kLimbBits / 4);
+    std::uint64_t acc = 0;
+    unsigned seen = 0;
+    for (unsigned shift = 0; i < end; ++i, shift += 4) {
+      const unsigned nib = digit(i);
+      seen |= nib;
+      acc |= std::uint64_t{nib} << shift;
+    }
+    if (seen > 15) {
       throw std::invalid_argument("BitVector::fromHex: bad character");
     }
-    for (unsigned b = 0; b < 4; ++b) {
-      if ((nib >> b) & 1u) {
-        if (pos + b >= w) {
-          throw std::invalid_argument(
-              "BitVector::fromHex: value does not fit requested width");
-        }
-        v.setBit(pos + b, true);
-      }
-    }
-    pos += 4;
+    limbs_[k] = acc;
   }
-  return v;
+  for (; i < hex.size(); ++i) {
+    const unsigned nib = digit(i);
+    if (nib > 15) {
+      throw std::invalid_argument("BitVector::fromHex: bad character");
+    }
+    if (nib == 0) continue;
+    const std::size_t pos = 4 * i;
+    if (pos >= width_ || (nib >> std::min<std::size_t>(width_ - pos, 4)) != 0) {
+      throw std::invalid_argument(
+          "BitVector::fromHex: value does not fit requested width");
+    }
+    // pos is a multiple of 4, so a nibble never straddles two limbs.
+    limbs_[pos / kLimbBits] |= std::uint64_t{nib} << (pos % kLimbBits);
+  }
 }
 
 BitVector BitVector::ones(unsigned width) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace psmgen::common {
@@ -33,7 +34,13 @@ class BitVector {
 
   /// Parses a hex string, e.g. "deadbeef" (MSB first); width = 4 * length
   /// unless an explicit width is given (which must be >= significant bits).
-  static BitVector fromHex(const std::string& hex, unsigned width = 0);
+  static BitVector fromHex(std::string_view hex, unsigned width = 0);
+
+  /// fromHex in place: decodes into this vector's own limb storage, so a
+  /// vector that already holds enough limbs is refilled without
+  /// allocating. Throws what fromHex throws; the value is then valid but
+  /// unspecified.
+  void assignHex(std::string_view hex, unsigned width = 0);
 
   /// All-ones vector of the given width.
   static BitVector ones(unsigned width);

@@ -8,24 +8,26 @@
 
 namespace psmgen::common {
 
-std::vector<std::string> split(const std::string& s, char delim) {
+std::vector<std::string> split(std::string_view s, char delim) {
   std::vector<std::string> out;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= s.size(); ++i) {
     if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
+      out.emplace_back(s.substr(start, i - start));
       start = i + 1;
     }
   }
   return out;
 }
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
+    s.remove_suffix(1);
+  }
+  return s;
 }
 
 std::string_view trimBlanks(std::string_view s) {

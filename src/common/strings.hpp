@@ -9,10 +9,11 @@
 namespace psmgen::common {
 
 /// Splits `s` on `delim`; keeps empty fields.
-std::vector<std::string> split(const std::string& s, char delim);
+std::vector<std::string> split(std::string_view s, char delim);
 
-/// Strips leading/trailing ASCII whitespace.
-std::string trim(const std::string& s);
+/// Strips leading/trailing ASCII whitespace (std::isspace); the result
+/// views `s`, so `s` must outlive it.
+std::string_view trim(std::string_view s);
 
 /// Strips leading/trailing spaces and tabs only (HTTP's optional
 /// whitespace around header values and parameters).

@@ -27,11 +27,16 @@ std::string AtomicProposition::toString(const trace::VariableSet& vars) const {
   return lhs_name + op_name + "0x" + rhs_const.toHex();
 }
 
-Signature::Signature(const std::vector<bool>& truths) : size_(truths.size()) {
-  words_.assign((size_ + 63) / 64, 0);
+Signature::Signature(const std::vector<bool>& truths) {
+  reset(truths.size());
   for (std::size_t i = 0; i < size_; ++i) {
-    if (truths[i]) words_[i / 64] |= std::uint64_t{1} << (i % 64);
+    if (truths[i]) set(i);
   }
+}
+
+void Signature::reset(std::size_t size) {
+  size_ = size;
+  words_.assign((size_ + 63) / 64, 0);
 }
 
 bool Signature::get(std::size_t atom) const {
@@ -55,11 +60,19 @@ PropositionDomain::PropositionDomain(trace::VariableSet vars,
                                      std::vector<AtomicProposition> atoms)
     : vars_(std::move(vars)), atoms_(std::move(atoms)) {}
 
+void PropositionDomain::evalRow(const std::vector<common::BitVector>& row,
+                                Signature& out) const {
+  out.reset(atoms_.size());
+  for (std::size_t i = 0; i < atoms_.size(); ++i) {
+    if (atoms_[i].eval(row)) out.set(i);
+  }
+}
+
 Signature PropositionDomain::evalRow(
     const std::vector<common::BitVector>& row) const {
-  std::vector<bool> truths(atoms_.size());
-  for (std::size_t i = 0; i < atoms_.size(); ++i) truths[i] = atoms_[i].eval(row);
-  return Signature(truths);
+  Signature sig;
+  evalRow(row, sig);
+  return sig;
 }
 
 PropId PropositionDomain::intern(const Signature& sig) {

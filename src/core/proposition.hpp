@@ -49,6 +49,13 @@ class Signature {
   Signature() = default;
   explicit Signature(const std::vector<bool>& truths);
 
+  /// Resets to `size` false atoms, keeping the word storage.
+  void reset(std::size_t size);
+  /// Marks `atom` (< size()) true.
+  void set(std::size_t atom) {
+    words_[atom / 64] |= std::uint64_t{1} << (atom % 64);
+  }
+
   bool get(std::size_t atom) const;
   std::size_t size() const { return size_; }
 
@@ -72,7 +79,10 @@ class PropositionDomain {
   const trace::VariableSet& variables() const { return vars_; }
   const std::vector<AtomicProposition>& atoms() const { return atoms_; }
 
-  /// Truth signature of a row (one value per variable).
+  /// Truth signature of a row (one value per variable), written into
+  /// `out`, whose storage is reused: a per-row caller allocates nothing.
+  void evalRow(const std::vector<common::BitVector>& row,
+               Signature& out) const;
   Signature evalRow(const std::vector<common::BitVector>& row) const;
 
   /// Returns the PropId of a signature, creating it if new.

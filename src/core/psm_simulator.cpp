@@ -236,7 +236,8 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
   }
   prev_inputs_ = row;
 
-  const PropId obs = sim_->domain_->findRow(row);
+  sim_->domain_->evalRow(row, row_sig_);
+  const PropId obs = sim_->domain_->find(row_sig_);
 
   if (!started_) {
     started_ = true;
@@ -288,20 +289,20 @@ PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
     PropId obs, bool allow_checkpoint) {
   // Advance every viable alternative of the current state's assertion.
   const auto& alts = sim_->psm_->state(cur_).assertion.alts;
-  std::vector<Config> survivors;
+  survivors_.clear();
   bool exit_requested = false;
   for (const Config& c : configs_) {
     const PatternSeq& seq = alts[c.alt];
     const Pattern& pat = seq[c.pos];
     if (pat.is_until && obs == pat.p) {
-      survivors.push_back(c);  // still inside the until run
+      survivors_.push_back(c);  // still inside the until run
       continue;
     }
     if (pat.q != kNoProp && obs == pat.q) {
       if (c.pos + 1 < seq.size()) {
         // The exit proposition opens the next pattern of the sequence
         // (its entry proposition by construction).
-        survivors.push_back({c.alt, c.pos + 1});
+        survivors_.push_back({c.alt, c.pos + 1});
       } else {
         exit_requested = true;
       }
@@ -310,7 +311,7 @@ PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
     // Alternative dies.
   }
 
-  if (!survivors.empty()) {
+  if (!survivors_.empty()) {
     // Alternatives that continue win over alternatives that exit, but the
     // forgone exit is checkpointed: if the surviving interpretation later
     // dies, tryBacktrack() revisits the exit and replays the buffered
@@ -322,7 +323,7 @@ PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
       }
       checkpoints_.push_back({cur_, obs, {}});
     }
-    configs_ = std::move(survivors);
+    configs_.swap(survivors_);
     return Advance::Stayed;
   }
 

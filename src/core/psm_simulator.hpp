@@ -180,6 +180,11 @@ class PsmSimulator {
     static constexpr std::size_t kMaxCheckpoints = 4;
     std::vector<Checkpoint> checkpoints_;
     std::vector<common::BitVector> prev_inputs_;
+    /// Per-row scratch, reused so that a step() that stays in its state
+    /// allocates nothing: the row's signature and the alternatives that
+    /// survive advanceCore().
+    Signature row_sig_;
+    std::vector<Config> survivors_;
     std::size_t predictions_ = 0;
     std::size_t wrong_ = 0;
     std::size_t unexpected_ = 0;

@@ -35,42 +35,42 @@ void StreamingTraceReader::readPreamble() {
   if (options_.chunk_rows == 0) {
     throw std::invalid_argument("StreamingTraceReader: chunk_rows must be > 0");
   }
-  std::string line;
-  if (!std::getline(*is_, line) ||
-      common::trim(line) != trace::functionalTraceHeader()) {
+  if (!std::getline(*is_, line_) ||
+      common::trim(line_) != trace::functionalTraceHeader()) {
     throw std::runtime_error("trace_io: missing functional trace header");
   }
   ++line_no_;
-  if (!std::getline(*is_, line)) {
+  if (!std::getline(*is_, line_)) {
     throw std::runtime_error(
         "trace_io: truncated trace: missing variable declaration line");
   }
   ++line_no_;
-  vars_ = trace::parseVariableDeclaration(line, line_no_);
+  vars_ = trace::parseVariableDeclaration(line_, line_no_);
   buffer_.reserve(options_.chunk_rows);
 }
 
 void StreamingTraceReader::refill() {
-  buffer_.clear();
   buffer_pos_ = 0;
-  std::string line;
-  while (buffer_.size() < options_.chunk_rows && std::getline(*is_, line)) {
+  buffer_len_ = 0;
+  while (buffer_len_ < options_.chunk_rows && std::getline(*is_, line_)) {
     ++line_no_;
-    const std::string t = common::trim(line);
+    const std::string_view t = common::trim(line_);
     if (t.empty()) continue;
-    buffer_.push_back(trace::parseFunctionalRow(t, vars_, line_no_));
+    if (buffer_len_ == buffer_.size()) buffer_.emplace_back();
+    trace::parseFunctionalRow(t, vars_, line_no_, buffer_[buffer_len_]);
+    ++buffer_len_;
   }
-  if (buffer_.empty()) {
+  if (buffer_len_ == 0) {
     exhausted_ = true;
     return;
   }
   ++refills_;
-  peak_ = std::max(peak_, buffer_.size());
+  peak_ = std::max(peak_, buffer_len_);
   // Per-refill (not per-row): one counter bump per chunk keeps the
   // disabled-registry cost off the row-delivery fast path entirely.
   obs::Registry& reg = obs::metrics();
   reg.counter("reader.refills").add(1);
-  reg.counter("reader.rows").add(buffer_.size());
+  reg.counter("reader.rows").add(buffer_len_);
   if (reg.enabled()) {
     reg.gauge("reader.peak_resident_rows")
         .set(static_cast<double>(peak_));
@@ -78,12 +78,12 @@ void StreamingTraceReader::refill() {
 }
 
 bool StreamingTraceReader::next(std::vector<common::BitVector>& row) {
-  if (buffer_pos_ == buffer_.size()) {
+  if (buffer_pos_ == buffer_len_) {
     if (exhausted_) return false;
     refill();
     if (exhausted_) return false;
   }
-  row = std::move(buffer_[buffer_pos_++]);
+  row.swap(buffer_[buffer_pos_++]);
   ++rows_;
   return true;
 }

@@ -9,6 +9,13 @@
 // reader refills its buffer from the stream when it drains, so the
 // consumer sees a simple next() iterator while I/O happens in chunks.
 //
+// The buffer's slots (one parsed row each) and the line buffer live as
+// long as the reader: a refill decodes each line in place into a slot's
+// values, and next() swaps the slot with the caller's row, so the
+// caller's previous row becomes the storage the next refill parses into.
+// A caller that reuses one row therefore streams with no allocation per
+// row once every slot has been filled.
+//
 // peakBufferedRows() exposes the high-water mark of resident rows; the
 // bounded-memory contract (peak <= chunk_rows) is enforced by tests that
 // stream traces much larger than one chunk.
@@ -42,8 +49,9 @@ class StreamingTraceReader {
 
   const trace::VariableSet& variables() const { return vars_; }
 
-  /// Moves the next row into `row`; returns false at end of stream. Parse
-  /// errors carry the 1-based line number of the offending row.
+  /// Swaps the next row into `row` (the reader keeps `row`'s old storage
+  /// for a later refill); returns false at end of stream. Parse errors
+  /// carry the 1-based line number of the offending row.
   bool next(std::vector<common::BitVector>& row);
 
   /// Rows handed out through next() so far.
@@ -62,8 +70,11 @@ class StreamingTraceReader {
   std::istream* is_;
   Options options_;
   trace::VariableSet vars_;
+  /// Slots, reused across refills; [buffer_pos_, buffer_len_) are unread.
   std::vector<std::vector<common::BitVector>> buffer_;
   std::size_t buffer_pos_ = 0;
+  std::size_t buffer_len_ = 0;
+  std::string line_;
   std::size_t line_no_ = 0;
   std::size_t rows_ = 0;
   std::size_t refills_ = 0;

@@ -1,6 +1,9 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,16 +30,14 @@ std::string kindName(VarKind k) {
   return k == VarKind::Input ? "in" : "out";
 }
 
-double parseDouble(const std::string& s, std::size_t line_no,
+/// A finite double as std::from_chars reads it: no blanks, no leading
+/// '+', no hex, no nan or inf.
+double parseDouble(std::string_view s, std::size_t line_no,
                    const std::string& what) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(s, &consumed);
-    if (consumed != s.size()) fail(line_no, "bad " + what + ": " + s);
-    return v;
-  } catch (const std::logic_error&) {
-    fail(line_no, "bad " + what + ": " + s);
-  }
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const std::optional<double> v = common::parseReal(s, -kMax, kMax);
+  if (!v) fail(line_no, "bad " + what + ": " + std::string(s));
+  return *v;
 }
 }  // namespace
 
@@ -78,25 +79,29 @@ VariableSet parseVariableDeclaration(const std::string& line,
   return vars;
 }
 
-std::vector<common::BitVector> parseFunctionalRow(const std::string& line,
-                                                  const VariableSet& vars,
-                                                  std::size_t line_no) {
-  const auto cells = common::split(line, ',');
-  if (cells.size() != vars.size()) {
-    fail(line_no, "row arity mismatch (got " + std::to_string(cells.size()) +
+void parseFunctionalRow(std::string_view line, const VariableSet& vars,
+                        std::size_t line_no,
+                        std::vector<common::BitVector>& row) {
+  const std::size_t cells =
+      1 + static_cast<std::size_t>(std::count(line.begin(), line.end(), ','));
+  if (cells != vars.size()) {
+    fail(line_no, "row arity mismatch (got " + std::to_string(cells) +
                       " cells, expected " + std::to_string(vars.size()) + ")");
   }
-  std::vector<common::BitVector> row;
-  row.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  row.resize(cells);
+  std::size_t start = 0;
+  for (std::size_t i = 0; i < cells; ++i) {
+    const std::size_t end = std::min(line.find(',', start), line.size());
+    const std::string_view cell = line.substr(start, end - start);
+    start = end + 1;
     try {
-      row.push_back(common::BitVector::fromHex(cells[i], vars[i].width));
+      if (cell.empty()) throw std::invalid_argument("empty cell");
+      row[i].assignHex(cell, vars[i].width);
     } catch (const std::exception& e) {
       fail(line_no, "bad value for variable '" + vars[i].name +
                         "': " + e.what());
     }
   }
-  return row;
 }
 
 void writeFunctionalTrace(std::ostream& os, const FunctionalTrace& trace) {
@@ -120,11 +125,13 @@ FunctionalTrace readFunctionalTrace(std::istream& is) {
   }
   FunctionalTrace trace(parseVariableDeclaration(line, 2));
   std::size_t line_no = 2;
+  std::vector<common::BitVector> row;
   while (std::getline(is, line)) {
     ++line_no;
-    const std::string t = common::trim(line);
+    const std::string_view t = common::trim(line);
     if (t.empty()) continue;
-    trace.append(parseFunctionalRow(t, trace.variables(), line_no));
+    parseFunctionalRow(t, trace.variables(), line_no, row);
+    trace.append(std::move(row));
   }
   return trace;
 }
@@ -159,7 +166,7 @@ PowerTrace readPowerTrace(std::istream& is) {
   std::size_t line_no = 2;
   while (std::getline(is, line)) {
     ++line_no;
-    const std::string t = common::trim(line);
+    const std::string_view t = common::trim(line);
     if (t.empty()) continue;
     trace.append(parseDouble(t, line_no, "power sample"));
   }

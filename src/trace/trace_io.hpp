@@ -21,6 +21,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/functional_trace.hpp"
@@ -42,12 +43,15 @@ VariableSet parseVariableDeclaration(const std::string& line,
 /// serving protocol's Hello negotiation, so both agree on one spelling.
 std::string formatVariableDeclaration(const VariableSet& vars);
 
-/// Parses one data row ("<hex>,<hex>,...") against `vars`. Throws
-/// std::runtime_error naming `line_no` on arity mismatch or a cell that
-/// is not valid hex for its variable's width.
-std::vector<common::BitVector> parseFunctionalRow(const std::string& line,
-                                                  const VariableSet& vars,
-                                                  std::size_t line_no);
+/// Parses one trimmed data row ("<hex>,<hex>,...") against `vars` into
+/// `row`, which ends up with one value per variable. The cells are decoded
+/// in place, so a row that held the previous line's values is refilled
+/// without allocating. Throws std::runtime_error naming `line_no` on arity
+/// mismatch or a cell that is empty or not valid hex for its variable's
+/// width; `row` is then unspecified.
+void parseFunctionalRow(std::string_view line, const VariableSet& vars,
+                        std::size_t line_no,
+                        std::vector<common::BitVector>& row);
 
 void writeFunctionalTrace(std::ostream& os, const FunctionalTrace& trace);
 FunctionalTrace readFunctionalTrace(std::istream& is);

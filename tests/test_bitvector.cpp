@@ -164,6 +164,11 @@ TEST_P(BitVectorWidths, HexRoundTripRandom) {
   Rng rng(w * 13 + 5);
   const BitVector v = rng.bits(w);
   EXPECT_EQ(BitVector::fromHex(v.toHex(), w), v);
+  // In-place decoding into storage that held a wider, all-ones value
+  // must leave no stale limb or bit behind.
+  BitVector reused = BitVector::ones(8192);
+  reused.assignHex(v.toHex(), w);
+  EXPECT_EQ(reused, BitVector::fromHex(v.toHex(), w));
 }
 
 TEST_P(BitVectorWidths, SliceConcatIdentity) {

@@ -40,20 +40,35 @@ std::string toCsv(const trace::FunctionalTrace& t) {
 
 TEST(StreamingReader, MatchesBatchLoader) {
   const trace::FunctionalTrace t = randomTrace(10, 1);
-  std::istringstream is(toCsv(t));
-  runtime::StreamingTraceReader reader(is, {4});
-  EXPECT_EQ(reader.variables(), t.variables());
-  std::vector<BitVector> row;
-  std::size_t i = 0;
-  while (reader.next(row)) {
-    ASSERT_LT(i, t.length());
-    EXPECT_EQ(row, t.step(i));
-    ++i;
+  // The same trace with CRLF line endings and blank lines between rows.
+  std::string crlf;
+  std::size_t lines = 0;
+  for (const char c : toCsv(t)) {
+    if (c != '\n') {
+      crlf += c;
+      continue;
+    }
+    crlf += "\r\n";
+    if (++lines > 2 && lines % 3 == 0) crlf += lines % 2 ? "\r\n" : " \t\r\n";
   }
-  EXPECT_EQ(i, t.length());
-  EXPECT_EQ(reader.rowsDelivered(), t.length());
-  EXPECT_EQ(reader.refills(), 3u);  // ceil(10 / 4)
-  EXPECT_FALSE(reader.next(row));   // stays exhausted
+  for (const std::string& csv : {toCsv(t), crlf}) {
+    std::istringstream batch(csv);
+    EXPECT_EQ(trace::readFunctionalTrace(batch), t);
+    std::istringstream is(csv);
+    runtime::StreamingTraceReader reader(is, {4});
+    EXPECT_EQ(reader.variables(), t.variables());
+    std::vector<BitVector> row;
+    std::size_t i = 0;
+    while (reader.next(row)) {
+      ASSERT_LT(i, t.length());
+      EXPECT_EQ(row, t.step(i));
+      ++i;
+    }
+    EXPECT_EQ(i, t.length());
+    EXPECT_EQ(reader.rowsDelivered(), t.length());
+    EXPECT_EQ(reader.refills(), 3u);  // ceil(10 / 4)
+    EXPECT_FALSE(reader.next(row));   // stays exhausted
+  }
 }
 
 TEST(StreamingReader, MemoryBoundedByChunkOnLargeTrace) {
@@ -109,6 +124,25 @@ TEST(StreamingReader, ArityMismatchNamesTheLine) {
     EXPECT_NE(std::string(e.what()).find("line 6"), std::string::npos)
         << e.what();
     EXPECT_NE(std::string(e.what()).find("arity"), std::string::npos);
+  }
+}
+
+TEST(StreamingReader, EmptyCellNamesTheLine) {
+  std::string csv = toCsv(randomTrace(3, 6));
+  csv += "1,\n";  // b's cell is empty; this is file line 6
+  std::istringstream is(csv);
+  runtime::StreamingTraceReader reader(is, {64});
+  std::vector<BitVector> row;
+  try {
+    while (reader.next(row)) {
+    }
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 6"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("bad value for variable 'b'"),
+              std::string::npos)
+        << e.what();
   }
 }
 

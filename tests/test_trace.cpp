@@ -1,11 +1,14 @@
 // Unit tests for the trace substrate: variable sets, functional and power
-// traces, MRE, CSV round-trips and the VCD writer.
+// traces, MRE, CSV round-trips, a differential mutation test of the two
+// CSV loaders, and the VCD writer.
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <sstream>
 
+#include "common/strings.hpp"
+#include "runtime/streaming_reader.hpp"
 #include "trace/functional_trace.hpp"
 #include "trace/power_trace.hpp"
 #include "trace/trace_io.hpp"
@@ -174,6 +177,12 @@ TEST(TraceIoErrors, RowErrorsReportTheLine) {
   // A value wider than the declared variable is malformed, not truncated.
   expectParseError(readFunctionalTrace, preamble + "3,00,00\n",
                    {"line 3", "en", "does not fit"});
+  // An empty cell (such as a line cut off after a comma) is malformed,
+  // not zero.
+  expectParseError(readFunctionalTrace, preamble + "1,ff,\n",
+                   {"line 3", "bad value for variable 'out'"});
+  expectParseError(readFunctionalTrace, preamble + "0,,00\n",
+                   {"line 3", "bad value for variable 'data'"});
 }
 
 TEST(TraceIoErrors, PowerTraceErrorsReportTheLine) {
@@ -186,6 +195,13 @@ TEST(TraceIoErrors, PowerTraceErrorsReportTheLine) {
   expectParseError(readPowerTrace,
                    "# psmgen power trace v1\n1,1e8,1e-14\n0.5\nnope\n",
                    {"line 4", "bad power sample"});
+  // Samples are finite decimals: NaN would poison a state's <mu, sigma>
+  // and its regression, and writePowerTrace never writes these spellings.
+  for (const std::string sample : {"nan", "+0.5", "0x1p-3"}) {
+    expectParseError(readPowerTrace,
+                     "# psmgen power trace v1\n1,1e8,1e-14\n" + sample + "\n",
+                     {"line 3", "bad power sample"});
+  }
 }
 
 TEST(TraceIoErrors, UnreadablePath) {
@@ -245,6 +261,177 @@ TEST(TraceIoProperty, RandomizedPowerRoundTrip) {
     // precision(17) makes the decimal rendering lossless for doubles.
     ASSERT_EQ(back, p) << "iteration " << iter;
   }
+}
+
+/// The bit-by-bit hex decoder BitVector::fromHex used before it decoded
+/// in place: one bounds-checked setBit per set bit. Kept as the reference
+/// that the loaders' in-place decoding must agree with.
+BitVector referenceFromHex(const std::string& hex, unsigned width) {
+  const unsigned w = width == 0 ? static_cast<unsigned>(hex.size()) * 4 : width;
+  BitVector v(w);
+  unsigned pos = 0;
+  for (std::size_t i = hex.size(); i-- > 0;) {
+    const char c = hex[i];
+    unsigned nib = 0;
+    if (c >= '0' && c <= '9') {
+      nib = static_cast<unsigned>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      nib = static_cast<unsigned>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      nib = static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      throw std::invalid_argument("BitVector::fromHex: bad character");
+    }
+    for (unsigned b = 0; b < 4; ++b) {
+      if ((nib >> b) & 1u) {
+        if (pos + b >= w) {
+          throw std::invalid_argument(
+              "BitVector::fromHex: value does not fit requested width");
+        }
+        v.setBit(pos + b, true);
+      }
+    }
+    pos += 4;
+  }
+  return v;
+}
+
+/// What one loader made of a CSV text: its rows, or its error message.
+struct LoadOutcome {
+  bool accepted = false;
+  std::string error;
+  VariableSet vars;
+  std::vector<std::vector<BitVector>> rows;
+};
+
+LoadOutcome loadBatch(const std::string& text) {
+  LoadOutcome out;
+  std::istringstream is(text);
+  try {
+    const FunctionalTrace t = readFunctionalTrace(is);
+    out.vars = t.variables();
+    for (std::size_t i = 0; i < t.length(); ++i) out.rows.push_back(t.step(i));
+    out.accepted = true;
+  } catch (const std::runtime_error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// Streams with chunk 3 through one reused row, so every refill decodes
+/// into storage that earlier rows left behind.
+LoadOutcome loadStreaming(const std::string& text) {
+  LoadOutcome out;
+  std::istringstream is(text);
+  try {
+    runtime::StreamingTraceReader reader(is, {3});
+    out.vars = reader.variables();
+    std::vector<BitVector> row;
+    while (reader.next(row)) out.rows.push_back(row);
+    out.accepted = true;
+  } catch (const std::runtime_error& e) {
+    out.error = e.what();
+    out.rows.clear();
+  }
+  return out;
+}
+
+/// The data rows of `text` decoded independently of trace_io: lines split
+/// on '\n' as std::getline does, blank lines skipped, cells split on ','
+/// and decoded by referenceFromHex at the declared widths.
+std::vector<std::vector<BitVector>> referenceRows(const std::string& text,
+                                                  const VariableSet& vars) {
+  std::vector<std::vector<BitVector>> rows;
+  const std::vector<std::string> lines = common::split(text, '\n');
+  for (std::size_t l = 2; l < lines.size(); ++l) {
+    const std::string_view line = common::trim(lines[l]);
+    if (line.empty()) continue;
+    const std::vector<std::string> cells = common::split(line, ',');
+    EXPECT_EQ(cells.size(), vars.size()) << "line " << l + 1;
+    std::vector<BitVector> row;
+    for (std::size_t i = 0; i < cells.size() && i < vars.size(); ++i) {
+      row.push_back(referenceFromHex(cells[i], vars[i].width));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Applies one random byte-level mutation to `text`.
+void mutate(std::string& text, std::mt19937_64& rng) {
+  static constexpr char kInjected[] = {',', '\n', '\r', ' ', '\t'};
+  const std::size_t at = text.empty() ? 0 : rng() % text.size();
+  switch (rng() % 4) {
+    case 0:  // flip one bit of a byte
+      if (!text.empty()) text[at] = static_cast<char>(text[at] ^ (1 << rng() % 8));
+      break;
+    case 1:  // insert a random byte
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                  static_cast<char>(rng() % 256));
+      break;
+    case 2:  // delete up to three bytes
+      if (!text.empty()) text.erase(at, 1 + rng() % 3);
+      break;
+    default:  // inject a separator, line ending or blank
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                  kInjected[rng() % sizeof(kInjected)]);
+      break;
+  }
+}
+
+TEST(TraceIoProperty, MutatedCsvLoadersAgree) {
+  std::mt19937_64 rng(0xD1FF);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  std::string base;
+  for (int m = 0; m < 2000; ++m) {
+    if (m % 100 == 0) {
+      // A fresh valid trace every 100 mutants; widths of 1-200 bits cross
+      // the 64-bit limb boundaries.
+      VariableSet vars;
+      const std::size_t nvars = 1 + rng() % 4;
+      for (std::size_t v = 0; v < nvars; ++v) {
+        vars.add("v" + std::to_string(v),
+                 1 + static_cast<unsigned>(rng() % 200),
+                 rng() % 2 ? VarKind::Input : VarKind::Output);
+      }
+      FunctionalTrace t(vars);
+      for (std::size_t r = 0; r < 8; ++r) {
+        std::vector<BitVector> row;
+        for (std::size_t v = 0; v < nvars; ++v) {
+          BitVector value(vars[v].width);
+          for (unsigned b = 0; b < value.width(); ++b) {
+            if (rng() % 2) value.setBit(b, true);
+          }
+          row.push_back(std::move(value));
+        }
+        t.append(std::move(row));
+      }
+      std::ostringstream os;
+      writeFunctionalTrace(os, t);
+      base = os.str();
+    }
+    std::string text = base;
+    for (std::uint64_t k = 1 + rng() % 3; k-- > 0;) mutate(text, rng);
+
+    const LoadOutcome batch = loadBatch(text);
+    const LoadOutcome streamed = loadStreaming(text);
+    ASSERT_EQ(batch.accepted, streamed.accepted)
+        << "mutant " << m << ": batch '" << batch.error << "', streamed '"
+        << streamed.error << "'";
+    if (!batch.accepted) {
+      ASSERT_EQ(batch.error, streamed.error) << "mutant " << m;
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(batch.vars, streamed.vars) << "mutant " << m;
+    ASSERT_EQ(batch.rows, streamed.rows) << "mutant " << m;
+    ASSERT_EQ(batch.rows, referenceRows(text, batch.vars)) << "mutant " << m;
+  }
+  // Both verdicts are exercised, so neither branch passes vacuously.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 TEST(Vcd, EmitsDeclarationsAndChanges) {
