@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <functional>
 #include <stdexcept>
 
 namespace psmgen::common {
 
 namespace {
 constexpr unsigned kLimbBits = 64;
-
-std::size_t limbsFor(unsigned width) {
-  return (static_cast<std::size_t>(width) + kLimbBits - 1) / kLimbBits;
-}
 
 /// Value of each byte as a hex digit; 16 marks a non-digit.
 constexpr std::array<std::uint8_t, 256> kHexValue = [] {
@@ -26,17 +23,33 @@ constexpr std::array<std::uint8_t, 256> kHexValue = [] {
 }();
 }  // namespace
 
-BitVector::BitVector(unsigned width, std::uint64_t value)
-    : width_(width), limbs_(limbsFor(width), 0) {
-  if (!limbs_.empty()) limbs_[0] = value;
+BitVector::BitVector(unsigned width, std::uint64_t value) {
+  reshape(width);
+  if (width_ != 0) limbs()[0] = value;
   trim();
+}
+
+BitVector& BitVector::assignWide(const BitVector& other) {
+  if (this != &other) {
+    reshape(other.width_);
+    std::ranges::copy(other.limbs(), limbs().begin());
+  }
+  return *this;
+}
+
+void BitVector::reshape(unsigned width) {
+  const std::size_t n = limbsFor(width);
+  if (n != limbCount()) {
+    release();
+    if (n > kInlineLimbs) heap_ = new std::uint64_t[n];
+  }
+  width_ = width;
+  std::ranges::fill(limbs(), 0);
 }
 
 void BitVector::trim() {
   const unsigned rem = width_ % kLimbBits;
-  if (rem != 0 && !limbs_.empty()) {
-    limbs_.back() &= (~std::uint64_t{0}) >> (kLimbBits - rem);
-  }
+  if (rem != 0) limbs().back() &= (~std::uint64_t{0}) >> (kLimbBits - rem);
 }
 
 BitVector BitVector::fromBinary(const std::string& bits) {
@@ -59,8 +72,8 @@ BitVector BitVector::fromHex(std::string_view hex, unsigned width) {
 }
 
 void BitVector::assignHex(std::string_view hex, unsigned width) {
-  width_ = width == 0 ? static_cast<unsigned>(hex.size()) * 4 : width;
-  limbs_.assign(limbsFor(width_), 0);
+  reshape(width == 0 ? static_cast<unsigned>(hex.size()) * 4 : width);
+  const std::span<std::uint64_t> out = limbs();
   // Digit i, counted from the right, holds bits [4i, 4i + 4). The first
   // `body` digits lie wholly inside the width, so only a bad character
   // can fail there: they are gathered 16 to a limb with one store each.
@@ -83,7 +96,7 @@ void BitVector::assignHex(std::string_view hex, unsigned width) {
     if (seen > 15) {
       throw std::invalid_argument("BitVector::fromHex: bad character");
     }
-    limbs_[k] = acc;
+    out[k] = acc;
   }
   for (; i < hex.size(); ++i) {
     const unsigned nib = digit(i);
@@ -97,20 +110,20 @@ void BitVector::assignHex(std::string_view hex, unsigned width) {
           "BitVector::fromHex: value does not fit requested width");
     }
     // pos is a multiple of 4, so a nibble never straddles two limbs.
-    limbs_[pos / kLimbBits] |= std::uint64_t{nib} << (pos % kLimbBits);
+    out[pos / kLimbBits] |= std::uint64_t{nib} << (pos % kLimbBits);
   }
 }
 
 BitVector BitVector::ones(unsigned width) {
   BitVector v(width);
-  std::fill(v.limbs_.begin(), v.limbs_.end(), ~std::uint64_t{0});
+  std::ranges::fill(v.limbs(), ~std::uint64_t{0});
   v.trim();
   return v;
 }
 
 bool BitVector::bit(unsigned i) const {
   if (i >= width_) throw std::out_of_range("BitVector::bit: index out of range");
-  return (limbs_[i / kLimbBits] >> (i % kLimbBits)) & 1u;
+  return (limbs()[i / kLimbBits] >> (i % kLimbBits)) & 1u;
 }
 
 void BitVector::setBit(unsigned i, bool v) {
@@ -119,24 +132,23 @@ void BitVector::setBit(unsigned i, bool v) {
   }
   const std::uint64_t mask = std::uint64_t{1} << (i % kLimbBits);
   if (v) {
-    limbs_[i / kLimbBits] |= mask;
+    limbs()[i / kLimbBits] |= mask;
   } else {
-    limbs_[i / kLimbBits] &= ~mask;
+    limbs()[i / kLimbBits] &= ~mask;
   }
 }
 
 std::uint64_t BitVector::toUint64() const {
-  return limbs_.empty() ? 0 : limbs_[0];
+  return limb(0);
 }
 
 bool BitVector::any() const {
-  return std::any_of(limbs_.begin(), limbs_.end(),
-                     [](std::uint64_t l) { return l != 0; });
+  return std::ranges::any_of(limbs(), [](std::uint64_t l) { return l != 0; });
 }
 
 unsigned BitVector::popcount() const {
   unsigned n = 0;
-  for (const std::uint64_t l : limbs_) n += static_cast<unsigned>(std::popcount(l));
+  for (const std::uint64_t l : limbs()) n += static_cast<unsigned>(std::popcount(l));
   return n;
 }
 
@@ -145,8 +157,10 @@ unsigned BitVector::hammingDistance(const BitVector& a, const BitVector& b) {
     throw std::invalid_argument("BitVector::hammingDistance: width mismatch");
   }
   unsigned n = 0;
-  for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
-    n += static_cast<unsigned>(std::popcount(a.limbs_[i] ^ b.limbs_[i]));
+  const auto la = a.limbs();
+  const auto lb = b.limbs();
+  for (std::size_t i = 0; i < la.size(); ++i) {
+    n += static_cast<unsigned>(std::popcount(la[i] ^ lb[i]));
   }
   return n;
 }
@@ -158,7 +172,7 @@ BitVector BitVector::slice(unsigned lo, unsigned len) const {
   BitVector out(len);
   for (unsigned i = 0; i < len; ++i) {
     const unsigned src = lo + i;
-    if ((limbs_[src / kLimbBits] >> (src % kLimbBits)) & 1u) out.setBit(i, true);
+    if ((limbs()[src / kLimbBits] >> (src % kLimbBits)) & 1u) out.setBit(i, true);
   }
   return out;
 }
@@ -176,8 +190,8 @@ BitVector BitVector::concat(const BitVector& hi, const BitVector& lo) {
 
 BitVector BitVector::resized(unsigned new_width) const {
   BitVector out(new_width);
-  const std::size_t n = std::min(out.limbs_.size(), limbs_.size());
-  std::copy_n(limbs_.begin(), n, out.limbs_.begin());
+  const std::size_t n = std::min(out.limbCount(), limbCount());
+  std::copy_n(limbs().begin(), n, out.limbs().begin());
   out.trim();
   return out;
 }
@@ -185,27 +199,30 @@ BitVector BitVector::resized(unsigned new_width) const {
 BitVector BitVector::operator&(const BitVector& rhs) const {
   if (width_ != rhs.width_) throw std::invalid_argument("BitVector::&: width mismatch");
   BitVector out(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] = limbs_[i] & rhs.limbs_[i];
+  std::ranges::transform(limbs(), rhs.limbs(), out.limbs().begin(),
+                         std::bit_and<>{});
   return out;
 }
 
 BitVector BitVector::operator|(const BitVector& rhs) const {
   if (width_ != rhs.width_) throw std::invalid_argument("BitVector::|: width mismatch");
   BitVector out(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] = limbs_[i] | rhs.limbs_[i];
+  std::ranges::transform(limbs(), rhs.limbs(), out.limbs().begin(),
+                         std::bit_or<>{});
   return out;
 }
 
 BitVector BitVector::operator^(const BitVector& rhs) const {
   if (width_ != rhs.width_) throw std::invalid_argument("BitVector::^: width mismatch");
   BitVector out(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] = limbs_[i] ^ rhs.limbs_[i];
+  std::ranges::transform(limbs(), rhs.limbs(), out.limbs().begin(),
+                         std::bit_xor<>{});
   return out;
 }
 
 BitVector BitVector::operator~() const {
   BitVector out(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] = ~limbs_[i];
+  std::ranges::transform(limbs(), out.limbs().begin(), std::bit_not<>{});
   out.trim();
   return out;
 }
@@ -213,14 +230,15 @@ BitVector BitVector::operator~() const {
 BitVector BitVector::operator+(const BitVector& rhs) const {
   if (width_ != rhs.width_) throw std::invalid_argument("BitVector::+: width mismatch");
   BitVector out(width_);
+  const std::span<std::uint64_t> sum = out.limbs();
   std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    const std::uint64_t a = limbs_[i];
-    const std::uint64_t b = rhs.limbs_[i];
+  for (std::size_t i = 0; i < sum.size(); ++i) {
+    const std::uint64_t a = limbs()[i];
+    const std::uint64_t b = rhs.limbs()[i];
     const std::uint64_t s = a + b;
     const std::uint64_t s2 = s + carry;
     carry = (s < a || s2 < s) ? 1 : 0;
-    out.limbs_[i] = s2;
+    sum[i] = s2;
   }
   out.trim();
   return out;
@@ -254,15 +272,16 @@ BitVector BitVector::operator>>(unsigned n) const {
 }
 
 bool BitVector::operator==(const BitVector& rhs) const {
-  return width_ == rhs.width_ && limbs_ == rhs.limbs_;
+  return width_ == rhs.width_ && std::ranges::equal(limbs(), rhs.limbs());
 }
 
 int BitVector::compare(const BitVector& a, const BitVector& b) {
-  const std::size_t n = std::max(a.limbs_.size(), b.limbs_.size());
-  for (std::size_t i = n; i-- > 0;) {
-    const std::uint64_t la = a.limb(i);
-    const std::uint64_t lb = b.limb(i);
-    if (la != lb) return la < lb ? -1 : 1;
+  const auto la = a.limbs();
+  const auto lb = b.limbs();
+  for (std::size_t i = std::max(la.size(), lb.size()); i-- > 0;) {
+    const std::uint64_t x = i < la.size() ? la[i] : 0;
+    const std::uint64_t y = i < lb.size() ? lb[i] : 0;
+    if (x != y) return x < y ? -1 : 1;
   }
   return 0;
 }
@@ -300,7 +319,7 @@ std::size_t BitVector::hash() const {
     }
   };
   mix(width_);
-  for (const std::uint64_t l : limbs_) mix(l);
+  for (const std::uint64_t l : limbs()) mix(l);
   return h;
 }
 

@@ -12,12 +12,16 @@
 //
 // Values are stored little-endian in 64-bit limbs; bits above `width` are
 // always kept zero (class invariant, restored by trim() after every
-// mutating operation).
+// mutating operation). A value of up to 128 bits, the widest port of every
+// IP here, keeps its two limbs inside the object and never allocates; a
+// wider value owns one heap block of exactly limbCount() limbs. A
+// moved-from value is empty, equal to BitVector{}.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 namespace psmgen::common {
 
@@ -29,6 +33,26 @@ class BitVector {
   /// Constructs a `width`-bit vector holding `value` (truncated to width).
   explicit BitVector(unsigned width, std::uint64_t value = 0);
 
+  BitVector(const BitVector& other) { *this = other; }
+  BitVector(BitVector&& other) noexcept { stealFrom(other); }
+  BitVector& operator=(const BitVector& other) {
+    if (onHeap() || other.onHeap()) return assignWide(other);
+    width_ = other.width_;
+    inline_[0] = other.inline_[0];
+    inline_[1] = other.inline_[1];
+    return *this;
+  }
+  BitVector& operator=(BitVector&& other) noexcept {
+    if (this != &other) {
+      release();
+      stealFrom(other);
+    }
+    return *this;
+  }
+  ~BitVector() {
+    if (onHeap()) delete[] heap_;
+  }
+
   /// Parses a binary string, e.g. "1010" (MSB first). Width = string length.
   static BitVector fromBinary(const std::string& bits);
 
@@ -37,9 +61,9 @@ class BitVector {
   static BitVector fromHex(std::string_view hex, unsigned width = 0);
 
   /// fromHex in place: decodes into this vector's own limb storage, so a
-  /// vector that already holds enough limbs is refilled without
-  /// allocating. Throws what fromHex throws; the value is then valid but
-  /// unspecified.
+  /// value of up to 128 bits, or a wider one whose limb count does not
+  /// change, is refilled without allocating. Throws what fromHex throws;
+  /// the value is then valid but unspecified.
   void assignHex(std::string_view hex, unsigned width = 0);
 
   /// All-ones vector of the given width.
@@ -49,9 +73,9 @@ class BitVector {
   bool empty() const { return width_ == 0; }
 
   /// Number of 64-bit limbs backing the value.
-  std::size_t limbCount() const { return limbs_.size(); }
+  std::size_t limbCount() const { return limbsFor(width_); }
   std::uint64_t limb(std::size_t i) const {
-    return i < limbs_.size() ? limbs_[i] : 0;
+    return i < limbCount() ? limbs()[i] : 0;
   }
 
   bool bit(unsigned i) const;
@@ -116,10 +140,53 @@ class BitVector {
   std::size_t hash() const;
 
  private:
+  static constexpr std::size_t kInlineLimbs = 2;
+
+  static std::size_t limbsFor(unsigned width) {
+    return (std::size_t{width} + 63) / 64;
+  }
+
+  bool onHeap() const { return limbCount() > kInlineLimbs; }
+  std::span<std::uint64_t> limbs() {
+    return {onHeap() ? heap_ : inline_, limbCount()};
+  }
+  std::span<const std::uint64_t> limbs() const {
+    return {onHeap() ? heap_ : inline_, limbCount()};
+  }
+
+  /// Makes this an all-zero `width`-bit value. A heap block is kept when
+  /// the limb count does not change.
+  void reshape(unsigned width);
+  /// Copy assignment where either side is on the heap.
+  BitVector& assignWide(const BitVector& other);
+  /// Frees a heap block and leaves the value empty.
+  void release() noexcept {
+    if (onHeap()) delete[] heap_;
+    width_ = 0;
+    inline_[0] = inline_[1] = 0;
+  }
+  /// Takes the storage of `other`, leaving it empty. This value must hold
+  /// no heap block.
+  void stealFrom(BitVector& other) noexcept {
+    width_ = std::exchange(other.width_, 0);
+    if (onHeap()) {
+      heap_ = other.heap_;
+    } else {
+      inline_[0] = other.inline_[0];
+      inline_[1] = other.inline_[1];
+    }
+    other.inline_[0] = other.inline_[1] = 0;
+  }
   void trim();
 
   unsigned width_ = 0;
-  std::vector<std::uint64_t> limbs_;
+  // inline_ while limbCount() <= kInlineLimbs; both of its words are always
+  // initialized, so copies move both. Otherwise heap_ owns limbCount()
+  // limbs.
+  union {
+    std::uint64_t inline_[kInlineLimbs] = {};
+    std::uint64_t* heap_;
+  };
 };
 
 struct BitVectorHash {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/hmm.hpp"
+#include "trace/variable.hpp"
 
 namespace psmgen::serialize {
 
@@ -99,7 +100,13 @@ class Decoder {
   }
   common::BitVector bits(const char* what) {
     const std::uint32_t width = u32(what);
-    const std::size_t limbs = (width + 63) / 64;
+    if (width > trace::kMaxVariableWidth) {
+      bad(what, std::string(what) + ": bit vector width " +
+                    std::to_string(width) + " exceeds " +
+                    std::to_string(trace::kMaxVariableWidth) + " bits");
+    }
+    const std::size_t limbs = (std::size_t{width} + 63) / 64;
+    need(8 * limbs, what);
     common::BitVector v(width);
     for (std::size_t i = 0; i < limbs; ++i) {
       const std::uint64_t limb = u64(what);
@@ -214,7 +221,7 @@ core::PropositionDomain decodeDomain(Decoder& dec) {
       vars.add(name, width,
                kind == 0 ? trace::VarKind::Input : trace::VarKind::Output);
     } catch (const std::invalid_argument& e) {
-      dec.bad("variable name", e.what());
+      dec.bad("variable", e.what());
     }
   }
   const std::uint32_t atom_count = dec.u32("atom count");

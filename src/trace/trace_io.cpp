@@ -62,16 +62,12 @@ VariableSet parseVariableDeclaration(const std::string& line,
     if (fields.size() != 3) {
       fail(line_no, "bad variable declaration: " + col);
     }
-    unsigned width = 0;
+    const std::optional<long long> width = common::parseInteger(
+        fields[2], 1, std::numeric_limits<unsigned>::max());
+    if (!width) fail(line_no, "bad variable width: " + col);
     try {
-      std::size_t consumed = 0;
-      width = static_cast<unsigned>(std::stoul(fields[2], &consumed));
-      if (consumed != fields[2].size() || width == 0) throw std::range_error("");
-    } catch (const std::logic_error&) {
-      fail(line_no, "bad variable width: " + col);
-    }
-    try {
-      vars.add(fields[0], width, parseKind(fields[1], line_no));
+      vars.add(fields[0], static_cast<unsigned>(*width),
+               parseKind(fields[1], line_no));
     } catch (const std::invalid_argument& e) {
       fail(line_no, e.what());
     }

@@ -1,6 +1,7 @@
 #include "trace/variable.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace psmgen::trace {
 
@@ -18,6 +19,11 @@ VariableSet::VariableSet(std::vector<VariableDef> vars) : vars_(std::move(vars))
 int VariableSet::add(const std::string& name, unsigned width, VarKind kind) {
   if (find(name) >= 0) {
     throw std::invalid_argument("VariableSet::add: duplicate name " + name);
+  }
+  if (width > kMaxVariableWidth) {
+    throw std::invalid_argument(
+        "VariableSet::add: width " + std::to_string(width) + " of " + name +
+        " exceeds " + std::to_string(kMaxVariableWidth) + " bits");
   }
   vars_.push_back({name, width, kind});
   return static_cast<int>(vars_.size() - 1);

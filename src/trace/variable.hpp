@@ -9,6 +9,11 @@ namespace psmgen::trace {
 
 enum class VarKind { Input, Output };
 
+/// Widest variable a trace or an artifact may declare, in bits. The widest
+/// port of any IP here has 262 bits; the bound stops a hostile header or
+/// artifact from asking for gigabytes per value.
+inline constexpr unsigned kMaxVariableWidth = 65536;
+
 struct VariableDef {
   std::string name;
   unsigned width = 1;
@@ -24,7 +29,8 @@ class VariableSet {
   VariableSet() = default;
   explicit VariableSet(std::vector<VariableDef> vars);
 
-  /// Appends a variable; returns its id. Throws on duplicate name.
+  /// Appends a variable; returns its id. Throws std::invalid_argument on a
+  /// duplicate name or a width above kMaxVariableWidth.
   int add(const std::string& name, unsigned width, VarKind kind);
 
   std::size_t size() const { return vars_.size(); }

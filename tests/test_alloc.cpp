@@ -1,0 +1,128 @@
+// Allocation counts of BitVector storage and of the batch CSV loader.
+//
+// This executable replaces the global operator new and delete, array
+// forms included, with counting versions that forward to std::malloc and
+// std::free, so that the sanitizers, which intercept malloc and free,
+// still see every block. The sanitizer runtimes define their own array
+// forms, which would bypass the count if they were not replaced too.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <bit>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
+
+#include "common/bitvector.hpp"
+#include "common/rng.hpp"
+#include "trace/trace_io.hpp"
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+
+void* allocate(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line: where GCC inlines an operator delete into a caller that
+// also holds the operator new call, it would see free() take a pointer
+// from operator new and warn of a mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void deallocate(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) { return allocate(size); }
+void* operator new[](std::size_t size) { return allocate(size); }
+void operator delete(void* p) noexcept { deallocate(p); }
+void operator delete(void* p, std::size_t) noexcept { deallocate(p); }
+void operator delete[](void* p) noexcept { deallocate(p); }
+void operator delete[](void* p, std::size_t) noexcept { deallocate(p); }
+
+namespace psmgen {
+namespace {
+
+using common::BitVector;
+
+template <typename F>
+std::size_t allocationsDuring(F&& f) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  f();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(Allocations, CopyingUpTo128BitsAllocatesNothing) {
+  const BitVector narrow = BitVector::ones(128);
+  const BitVector wide = BitVector::ones(129);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::optional<BitVector> copy;
+    EXPECT_EQ(allocationsDuring([&] { copy.emplace(narrow); }), 0u);
+    EXPECT_EQ(*copy, narrow);
+    copy.reset();
+    EXPECT_EQ(allocationsDuring([&] { copy.emplace(wide); }), 1u);
+    EXPECT_EQ(*copy, wide);
+    // Assignment keeps a heap block whose limb count does not change.
+    BitVector other = BitVector(129, 5);
+    EXPECT_EQ(allocationsDuring([&] { *copy = other; }), 0u);
+    EXPECT_EQ(*copy, other);
+  }
+}
+
+TEST(Allocations, AssignHexReusesAHeapBlockOfTheSameLimbCount) {
+  BitVector v(262);
+  // Widths 257-320 all take five limbs; 321 takes six; 128 is inline.
+  for (const auto& [width, allocations] :
+       {std::pair{262u, 0u}, {257u, 0u}, {320u, 0u}, {321u, 1u}, {128u, 0u}}) {
+    const std::string hex = BitVector::ones(width).toHex();
+    EXPECT_EQ(allocationsDuring([&] { v.assignHex(hex, width); }),
+              allocations)
+        << "width " << width;
+    EXPECT_EQ(v, BitVector::ones(width));
+  }
+}
+
+/// A functional-trace CSV of `rows` rows whose columns are 1, 8, 64 and
+/// 128 bits wide: all of them inline.
+std::string inlineCsv(std::size_t rows) {
+  const unsigned widths[] = {1, 8, 64, 128};
+  std::string csv = trace::functionalTraceHeader() +
+                    "\nen:in:1,op:in:8,a:in:64,key:in:128\n";
+  common::Rng rng(7);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      if (c > 0) csv += ',';
+      csv += rng.bits(widths[c]).toHex();
+    }
+    csv += '\n';
+  }
+  return csv;
+}
+
+std::size_t loadAllocations(const std::string& csv) {
+  std::istringstream is(csv);
+  std::optional<trace::FunctionalTrace> trace;
+  return allocationsDuring(
+      [&] { trace.emplace(trace::readFunctionalTrace(is)); });
+}
+
+TEST(Allocations, BatchLoaderMakesOneAllocationPerInlineRow) {
+  // The header alone fixes the constant part: the variable set and the
+  // line buffer. Each row then costs its own row vector; the trace's row
+  // vector and the line buffer grow a logarithmic number of times.
+  const std::size_t header = loadAllocations(inlineCsv(0));
+  for (const std::size_t rows : {1000u, 4000u}) {
+    const std::string csv = inlineCsv(rows);
+    const std::size_t n = loadAllocations(csv);
+    EXPECT_EQ(loadAllocations(csv), n) << "counts must repeat exactly";
+    EXPECT_GE(n, header + rows);
+    EXPECT_LE(n, header + rows + 2 * std::bit_width(rows))
+        << rows << " rows, " << header << " for the header alone";
+  }
+}
+
+}  // namespace
+}  // namespace psmgen

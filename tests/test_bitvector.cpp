@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/bitvector.hpp"
 #include "common/rng.hpp"
 
 namespace psmgen::common {
 namespace {
+
+// Two inline limbs or one heap pointer, plus the width.
+static_assert(sizeof(BitVector) == 24);
 
 TEST(BitVector, DefaultIsEmpty) {
   BitVector v;
@@ -129,6 +135,116 @@ TEST(BitVector, HashDistinguishesWidthAndValue) {
 }
 
 // ---------------------------------------------------------------------
+// Storage: values of up to 128 bits live inside the object, wider ones in
+// one heap block. 128 is the last inline width, 129 the first heap width.
+// ---------------------------------------------------------------------
+
+TEST(BitVectorStorage, MovedFromIsEmpty) {
+  for (const unsigned w : {100u, 300u}) {
+    BitVector a(w, 5);
+    const BitVector b(std::move(a));
+    EXPECT_EQ(b, BitVector(w, 5));
+    EXPECT_EQ(a, BitVector{}) << "w=" << w;
+    EXPECT_EQ(a.width(), 0u);
+    EXPECT_EQ(a.limbCount(), 0u);
+    EXPECT_TRUE(a.isZero());
+    EXPECT_EQ(a.toHex(), "");
+    EXPECT_THROW(a.bit(0), std::out_of_range);
+
+    BitVector c(w, 7);
+    BitVector d(8, 1);
+    d = std::move(c);
+    EXPECT_EQ(d, BitVector(w, 7));
+    EXPECT_EQ(c, BitVector{}) << "w=" << w;
+    // A moved-from value can be reused.
+    c = BitVector::ones(w);
+    EXPECT_EQ(c.popcount(), w);
+  }
+}
+
+TEST(BitVectorStorage, CopyAndMoveAcrossTheInlineBoundary) {
+  // Every pair covers inline->inline, inline->heap, heap->inline and
+  // heap->heap, with equal and with different limb counts.
+  const unsigned widths[] = {64u, 128u, 129u, 262u};
+  Rng rng(2024);
+  for (const unsigned from : widths) {
+    const BitVector src = rng.bits(from);
+
+    BitVector copied(src);
+    EXPECT_EQ(copied, src);
+    BitVector moved(std::move(copied));
+    EXPECT_EQ(moved, src);
+    EXPECT_EQ(copied, BitVector{});
+
+    for (const unsigned to : widths) {
+      BitVector dst = rng.bits(to);
+      dst = src;
+      EXPECT_EQ(dst, src) << from << " -> " << to;
+      EXPECT_EQ(dst.limbCount(), src.limbCount());
+
+      BitVector tmp = src;
+      BitVector into = rng.bits(to);
+      into = std::move(tmp);
+      EXPECT_EQ(into, src) << from << " -> " << to;
+      EXPECT_EQ(tmp, BitVector{});
+    }
+
+    BitVector self = src;
+    BitVector& alias = self;
+    self = alias;
+    EXPECT_EQ(self, src);
+    self = std::move(alias);
+    EXPECT_EQ(self, src);
+  }
+}
+
+TEST(BitVectorStorage, AssignHexReusesOneValueAcrossWidths) {
+  Rng rng(77);
+  BitVector v;
+  for (const unsigned w : {8192u, 64u, 262u, 1u}) {
+    const BitVector want = rng.bits(w);
+    v.assignHex(want.toHex(), w);
+    EXPECT_EQ(v, want) << "w=" << w;
+    EXPECT_EQ(v.limbCount(), (w + 63) / 64);
+    EXPECT_EQ(v.hash(), want.hash());
+  }
+}
+
+/// FNV-1a over the width and then each limb, byte by byte, least
+/// significant byte first: the documented definition of hash().
+std::size_t referenceHash(const BitVector& v) {
+  std::size_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (i * 8)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(v.width());
+  for (std::size_t i = 0; i < v.limbCount(); ++i) mix(v.limb(i));
+  return h;
+}
+
+TEST(BitVectorStorage, HashAndEqualityAgreeHoweverBuilt) {
+  // The value with the top bit and the low byte set, built three ways.
+  for (const unsigned w : {64u, 128u, 129u, 262u}) {
+    const unsigned nibbles = (w + 3) / 4;
+    const std::string hex = std::to_string(1u << ((w - 1) % 4)) +
+                            std::string(nibbles - 3, '0') + "ff";
+    const BitVector parsed = BitVector::fromHex(hex, w);
+    const BitVector built = (BitVector(w, 1) << (w - 1)) | BitVector(w, 0xff);
+    BitVector copied = BitVector::ones(300);
+    copied = parsed;
+    EXPECT_EQ(parsed, built) << "w=" << w;
+    EXPECT_EQ(copied, built) << "w=" << w;
+    EXPECT_EQ(parsed.hash(), built.hash()) << "w=" << w;
+    EXPECT_EQ(copied.hash(), built.hash()) << "w=" << w;
+    EXPECT_EQ(built.hash(), referenceHash(built)) << "w=" << w;
+    EXPECT_EQ(built.popcount(), 9u);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Property-style sweeps over widths.
 // ---------------------------------------------------------------------
 
@@ -182,7 +298,8 @@ TEST_P(BitVectorWidths, SliceConcatIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitVectorWidths,
                          ::testing::Values(1u, 7u, 8u, 31u, 32u, 63u, 64u,
-                                           65u, 127u, 128u, 262u, 8192u));
+                                           65u, 127u, 128u, 129u, 262u,
+                                           8192u));
 
 }  // namespace
 }  // namespace psmgen::common

@@ -189,19 +189,26 @@ TEST(SerializeErrors, ChecksumCatchesCorruption) {
   expectFormatError(bytes, "checksum mismatch");
 }
 
-TEST(SerializeErrors, ValidationCatchesCorruptionBehindFixedChecksum) {
-  // Corrupt the first payload byte (the variable-count field) and re-seal
-  // the checksum: the semantic validators must still reject the artifact.
-  std::string bytes = tinyArtifact();
-  const std::size_t payload_begin = 8 + 4 + 8;  // magic + version + length
-  const std::size_t payload_size = bytes.size() - payload_begin - 8;
-  bytes[payload_begin] = static_cast<char>(0xFF);
+constexpr std::size_t kPayloadBegin = 8 + 4 + 8;  // magic + version + length
+
+/// Recomputes the trailing checksum over an edited payload, so that only
+/// the semantic validators stand between the edit and a loaded model.
+void reseal(std::string& bytes) {
+  const std::size_t payload_size = bytes.size() - kPayloadBegin - 8;
   const std::uint64_t hash =
-      serialize::fnv1a(bytes.data() + payload_begin, payload_size);
+      serialize::fnv1a(bytes.data() + kPayloadBegin, payload_size);
   for (int i = 0; i < 8; ++i) {
     bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<char>(hash >> (8 * i));
   }
+}
+
+TEST(SerializeErrors, ValidationCatchesCorruptionBehindFixedChecksum) {
+  // Corrupt the first payload byte (the variable-count field) and re-seal
+  // the checksum: the semantic validators must still reject the artifact.
+  std::string bytes = tinyArtifact();
+  bytes[kPayloadBegin] = static_cast<char>(0xFF);
+  reseal(bytes);
   EXPECT_THROW(parse(bytes), serialize::FormatError);
 }
 
@@ -264,19 +271,63 @@ TEST(SerializeErrorCodes, BadFieldNamesTheField) {
   // re-seal the checksum: the semantic validator must name a field and
   // the payload offset it choked on.
   std::string bytes = tinyArtifact();
-  const std::size_t payload_begin = 8 + 4 + 8;
-  const std::size_t payload_size = bytes.size() - payload_begin - 8;
-  bytes[payload_begin] = static_cast<char>(0xFF);
-  const std::uint64_t hash =
-      serialize::fnv1a(bytes.data() + payload_begin, payload_size);
-  for (int i = 0; i < 8; ++i) {
-    bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
-        static_cast<char>(hash >> (8 * i));
-  }
+  bytes[kPayloadBegin] = static_cast<char>(0xFF);
+  reseal(bytes);
   const serialize::FormatError e = catchFormatError(bytes);
   EXPECT_EQ(e.code(), serialize::FormatErrorCode::BadField);
   EXPECT_FALSE(e.field().empty());
   EXPECT_NE(e.offset(), serialize::FormatError::kNoOffset);
+}
+
+/// The tiny artifact with the little-endian u32 at `payload_offset`
+/// replaced by `value` and the checksum re-sealed. `was` is the value
+/// the field must hold before the edit, which pins the layout below.
+std::string withU32(std::size_t payload_offset, std::uint32_t was,
+                    std::uint32_t value) {
+  std::string bytes = tinyArtifact();
+  const std::size_t at = kPayloadBegin + payload_offset;
+  std::uint32_t old = 0;
+  for (int i = 0; i < 4; ++i) {
+    old |= std::uint32_t{static_cast<std::uint8_t>(bytes[at + i])} << (8 * i);
+    bytes[at + i] = static_cast<char>(value >> (8 * i));
+  }
+  EXPECT_EQ(old, was) << "the tiny artifact's layout changed";
+  reseal(bytes);
+  return bytes;
+}
+
+TEST(SerializeErrors, DeclaredWidthsAreBounded) {
+  // Payload layout of the tiny model: the variable count (4), then
+  // "en" (4 + 2 + 4 + 1), "bus" (4 + 3 + 4 + 1) and "q" (4 + 1 + 4 + 1),
+  // the atom count (4), atom 0 (4 + 1 + 4, then its 1-bit constant:
+  // width 4 and one limb 8) and atom 1 (4 + 1 + 4, then its 100-bit
+  // constant's width).
+  constexpr std::size_t kBusWidth = 4 + 11 + 4 + 3;
+  constexpr std::size_t kAtom1Width = 4 + 11 + 12 + 10 + 4 + 9 + 12 + 9;
+  for (const std::uint32_t width : {trace::kMaxVariableWidth + 1,
+                                    std::uint32_t{0xFFFFFFFF}}) {
+    const serialize::FormatError constant =
+        catchFormatError(withU32(kAtom1Width, 100, width));
+    EXPECT_EQ(constant.code(), serialize::FormatErrorCode::BadField);
+    EXPECT_EQ(constant.field(), "atom rhs constant");
+    EXPECT_NE(std::string(constant.what()).find("exceeds 65536 bits"),
+              std::string::npos)
+        << constant.what();
+
+    const serialize::FormatError variable =
+        catchFormatError(withU32(kBusWidth, 100, width));
+    EXPECT_EQ(variable.code(), serialize::FormatErrorCode::BadField);
+    EXPECT_EQ(variable.field(), "variable");
+    EXPECT_NE(std::string(variable.what()).find("exceeds 65536 bits"),
+              std::string::npos)
+        << variable.what();
+  }
+  // Within the bound, a constant whose limbs the payload does not hold
+  // is truncated before any value is built.
+  const serialize::FormatError e = catchFormatError(
+      withU32(kAtom1Width, 100, trace::kMaxVariableWidth));
+  EXPECT_EQ(e.code(), serialize::FormatErrorCode::Truncated);
+  EXPECT_EQ(e.field(), "atom rhs constant");
 }
 
 TEST(SerializeErrorCodes, TrailingDataCode) {

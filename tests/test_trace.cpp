@@ -47,6 +47,14 @@ TEST(VariableSet, AddFindAndKinds) {
   EXPECT_THROW(vars.add("en", 1, VarKind::Input), std::invalid_argument);
 }
 
+TEST(VariableSet, WidthIsBounded) {
+  VariableSet vars;
+  EXPECT_EQ(vars.add("widest", kMaxVariableWidth, VarKind::Input), 0);
+  EXPECT_THROW(vars.add("wider", kMaxVariableWidth + 1, VarKind::Input),
+               std::invalid_argument);
+  EXPECT_EQ(vars.size(), 1u);
+}
+
 TEST(FunctionalTrace, AppendValidation) {
   FunctionalTrace t(demoVars());
   EXPECT_THROW(t.append({BitVector(1, 0)}), std::invalid_argument);
@@ -165,6 +173,31 @@ TEST(TraceIoErrors, BadFunctionalHeaderAndDeclaration) {
   expectParseError(readFunctionalTrace,
                    "# psmgen functional trace v1\na:in:1,a:in:2\n",
                    {"line 2", "duplicate"});
+}
+
+TEST(TraceIoErrors, DeclaredWidthIsBounded) {
+  const auto streaming = [](std::istream& is) {
+    runtime::StreamingTraceReader reader(is);
+  };
+  const std::string header = "# psmgen functional trace v1\n";
+  // Not an unsigned number: negative, past 2^32 (which must not wrap to
+  // 1), signed or padded.
+  for (const char* width : {"-1", "4294967297", "+8", " 8", "0"}) {
+    const std::string text = header + "x:in:" + width + "\n0\n";
+    expectParseError(readFunctionalTrace, text,
+                     {"line 2", "bad variable width"});
+    expectParseError(streaming, text, {"line 2", "bad variable width"});
+  }
+  // A number, but wider than kMaxVariableWidth.
+  for (const char* width : {"65537", "4294967295"}) {
+    const std::string text = header + "x:in:" + width + "\n0\n";
+    expectParseError(readFunctionalTrace, text,
+                     {"line 2", "exceeds 65536 bits"});
+    expectParseError(streaming, text, {"line 2", "exceeds 65536 bits"});
+  }
+  std::stringstream widest(header + "x:in:65536\n1\n");
+  const FunctionalTrace t = readFunctionalTrace(widest);
+  EXPECT_EQ(t.value(0, 0), BitVector(kMaxVariableWidth, 1));
 }
 
 TEST(TraceIoErrors, RowErrorsReportTheLine) {
