@@ -43,9 +43,10 @@ int main(int argc, char** argv) {
           *run.flow, kind, ip::TestsetMode::Long, eval_cycles, 0xAB1C);
       table.addRow({ip::ipName(kind), v.name,
                     common::formatDouble(100.0 * e.mre, 2) + " %",
-                    common::formatDouble(e.wsp_percent, 1) + " %",
-                    std::to_string(e.wrong), std::to_string(e.unexpected),
-                    std::to_string(e.lost)});
+                    common::formatDouble(e.wspPercent(), 1) + " %",
+                    std::to_string(e.wrong_predictions),
+                    std::to_string(e.unexpected_behaviours),
+                    std::to_string(e.lost_instants)});
     }
     table.addSeparator();
   }

@@ -50,14 +50,7 @@ EvalResult evaluateOn(const core::CharacterizationFlow& flow, ip::IpKind kind,
   auto tb = ip::makeTestbench(kind, mode, seed);
   auto pair = estimator.run(*tb, cycles);
   const core::SimResult sim = flow.estimate(pair.functional);
-  EvalResult out;
-  out.mre = trace::meanRelativeError(sim.estimate, pair.power.samples());
-  out.wsp_percent = sim.wspPercent();
-  out.wrong = sim.wrong_predictions;
-  out.predictions = sim.predictions;
-  out.unexpected = sim.unexpected_behaviours;
-  out.lost = sim.lost_instants;
-  return out;
+  return {sim, trace::meanRelativeError(sim.estimate, pair.power.samples())};
 }
 
 std::size_t planCycles(const std::vector<ip::TraceSpec>& plan) {

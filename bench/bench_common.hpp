@@ -36,14 +36,10 @@ FlowRun trainFlow(ip::IpKind kind, ip::TestsetMode mode,
 /// compares against its reference power (the paper's Table II metric).
 double trainingMre(const core::CharacterizationFlow& flow);
 
-/// Evaluation of PSMs against an independently generated testset.
-struct EvalResult {
+/// Evaluation of PSMs against an independently generated testset: the
+/// simulation's prediction counts plus the power MRE.
+struct EvalResult : core::PredictionCounts {
   double mre = 0.0;
-  double wsp_percent = 0.0;
-  std::size_t wrong = 0;
-  std::size_t predictions = 0;
-  std::size_t unexpected = 0;
-  std::size_t lost = 0;
 };
 
 EvalResult evaluateOn(const core::CharacterizationFlow& flow, ip::IpKind kind,

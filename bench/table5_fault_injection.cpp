@@ -81,11 +81,12 @@ int main(int argc, char** argv) {
 
     // Serve the faulted stream against the clean model, watching drift.
     runtime::OnlinePredictor predictor(run.flow->psm(), run.flow->domain());
-    runtime::QualityMonitor monitor(predictor, run.flow->psm());
+    runtime::QualityMonitor monitor(run.flow->psm());
     std::ptrdiff_t drift_latency = -1;
     std::ptrdiff_t degraded_latency = -1;
     for (std::size_t t = 0; t < pair.functional.length(); ++t) {
-      monitor.predictRow(pair.functional.step(t), pair.power.at(t));
+      predictor.predictRow(pair.functional.step(t));
+      monitor.observe(predictor.lastRow(), pair.power.at(t));
       if (t >= onset) {
         const runtime::DriftStatus status = monitor.status();
         if (degraded_latency < 0 && status != runtime::DriftStatus::Ok) {

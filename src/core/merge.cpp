@@ -93,13 +93,18 @@ std::vector<StateId> chainOrder(const Psm& psm) {
   if (psm.initialStates().size() != 1 || !psm.isChain()) {
     throw std::invalid_argument("simplify: PSM is not a single-entry chain");
   }
+  // A chain leaves each state through at most one transition, so one
+  // pass over the transitions indexes the walk and keeps each simplify
+  // pass linear in the chain length.
+  std::vector<StateId> next(psm.stateCount(), kNoState);
+  for (const Transition& t : psm.transitions()) {
+    next[static_cast<std::size_t>(t.from)] = t.to;
+  }
   std::vector<StateId> order;
   StateId cur = psm.initialStates().front();
   order.push_back(cur);
-  while (true) {
-    const auto outs = psm.transitionsFrom(cur);
-    if (outs.empty()) break;
-    cur = outs.front().to;
+  while (next[static_cast<std::size_t>(cur)] != kNoState) {
+    cur = next[static_cast<std::size_t>(cur)];
     order.push_back(cur);
     if (order.size() > psm.stateCount()) {
       throw std::logic_error("simplify: cycle in chain PSM");

@@ -104,7 +104,7 @@ bool PsmSimulator::Session::enterState(StateId s, PropId obs, bool entry_only,
   configs_ = std::move(configs);
   lost_ = false;
   entry_was_choice_ = was_choice;
-  if (was_choice) ++predictions_;
+  if (was_choice) ++row_.predictions;
   if (sim_->options_.use_hmm) {
     // Belief update with the (first) matched assertion as observation.
     const EventId e =
@@ -160,11 +160,8 @@ void PsmSimulator::Session::handleViolation(PropId obs) {
   // Every violation is exactly one of the two failure kinds: a failed
   // non-deterministic choice (wrong prediction) or a deterministic path
   // the training traces never covered (unexpected behaviour).
-  if (was_choice) {
-    ++wrong_;
-  } else {
-    ++unexpected_;
-  }
+  row_.flags |=
+      was_choice ? RowVerdict::kWrongPrediction : RowVerdict::kUnexpected;
   if (sim_->options_.use_hmm && wrong_state != kNoState) {
     // Transiently suppress the failed branch so the repair below (and the
     // recognition that may follow) cannot immediately re-pick it; step()
@@ -235,6 +232,8 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
     }
   }
   prev_inputs_ = row;
+  const bool was_lost = lost_;
+  row_ = RowVerdict{};
 
   sim_->domain_->evalRow(row, row_sig_);
   const PropId obs = sim_->domain_->find(row_sig_);
@@ -278,10 +277,18 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
       filter_.relax();
     }
   }
-  // The single lost-instant accounting point: a row counts as lost iff
-  // its processing ends desynchronized (so no path can count one row
-  // twice, and a violation repaired within the row counts zero).
-  if (lost_) ++lost_instants_;
+  // The single classification point: a row counts as lost iff its
+  // processing ends desynchronized (so no path can count one row twice,
+  // and a violation repaired within the row counts zero); a synced row
+  // after a lost one is a resync once the stream had been synced before.
+  if (lost_) {
+    row_.flags |= RowVerdict::kLost;
+  } else {
+    row_.state = cur_;
+    if (was_lost && ever_synced_) row_.flags |= RowVerdict::kResync;
+    ever_synced_ = true;
+  }
+  counts_.add(row_);
   return outputPower(hd_in, hd_io);
 }
 
@@ -443,10 +450,7 @@ SimResult PsmSimulator::simulate(const trace::FunctionalTrace& trace) const {
   for (std::size_t t = 0; t < trace.length(); ++t) {
     result.estimate.push_back(session.step(trace.step(t)));
   }
-  result.predictions = session.predictions();
-  result.wrong_predictions = session.wrongPredictions();
-  result.unexpected_behaviours = session.unexpectedBehaviours();
-  result.lost_instants = session.lostInstants();
+  static_cast<PredictionCounts&>(result) = session.counts();
 
   obs::Registry& reg = obs::metrics();
   reg.counter("sim.instants").add(result.estimate.size());

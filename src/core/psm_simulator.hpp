@@ -24,14 +24,18 @@
 // last valid state — emitting its (unreliable) power — until a known
 // behaviour is recognised again.
 //
-// Counter semantics (shared verbatim by SimResult, runtime::PredictorStats
-// and runtime::QualityMonitor — DESIGN.md "Prediction accounting"):
+// Row verdicts (DESIGN.md "Prediction accounting"). Session::step()
+// classifies its row exactly once, into a RowVerdict; every layer above
+// the session (OnlinePredictor, QualityMonitor, the serve wire flags)
+// reads that verdict instead of re-deriving it, and PredictionCounts is
+// the one counter type that sums verdicts:
 //   - predictions: non-deterministic choices the filter resolved (entry
 //     among >1 viable successors, initial choice among >1 matching
 //     initial states, re-route among >1 surviving alternatives). A
 //     resynchronization guess is *not* a prediction: it recovers from
 //     behaviour the model does not cover, so its failure says nothing
-//     about the filter's choice quality.
+//     about the filter's choice quality. A checkpoint replay can resolve
+//     several choices in one row, so a verdict carries a count.
 //   - wrong_predictions: a *prediction* later invalidated — the entered
 //     state's assertion died while the entry had been a choice. A
 //     violation on a deterministic path is never a wrong prediction, so
@@ -40,10 +44,12 @@
 //   - unexpected_behaviours: assertion violations whose entry was *not* a
 //     choice — behaviour absent from the training traces (the paper's
 //     "unexpected behaviour"). Every violation increments exactly one of
-//     wrong_predictions / unexpected_behaviours.
+//     wrong_predictions / unexpected_behaviours, and a row holds at most
+//     one violation.
 //   - lost_instants: rows whose processing *ends* with the session
-//     desynchronized — incremented at exactly one point per step(), so a
-//     row can never be counted lost twice.
+//     desynchronized, so a row can never be counted lost twice.
+//   - resyncs: rows that end synced after a lost row, once the stream
+//     had been synced before (the first recognition is not a resync).
 //
 // The Session object exposes a streaming per-cycle API so the SystemC-lite
 // PSM module can co-simulate with the IP model (Table III).
@@ -72,24 +78,54 @@ struct SimOptions {
   bool generalize_exits = true;
 };
 
-struct SimResult {
-  std::vector<double> estimate;  ///< per-instant power estimate
+/// What one Session::step() decided about its row.
+struct RowVerdict {
+  /// `flags` bits. They equal the serve wire's EstRow flags, which copy
+  /// the byte verbatim (pinned by a static_assert in serve/session.cpp).
+  static constexpr std::uint8_t kLost = 0x1;
+  static constexpr std::uint8_t kWrongPrediction = 0x2;
+  static constexpr std::uint8_t kUnexpected = 0x4;
+  static constexpr std::uint8_t kResync = 0x8;
 
-  /// Non-deterministic decisions the HMM filter resolved (choice among
-  /// more than one viable state at an entry, initial choice, or re-route
-  /// with several matching states; resync guesses are excluded).
+  /// The state the row ended in; kNoState while the session is lost.
+  StateId state = kNoState;
+  /// Non-deterministic choices the filter resolved in this row.
+  std::uint32_t predictions = 0;
+  /// At most one of kWrongPrediction and kUnexpected is set.
+  std::uint8_t flags = 0;
+
+  bool has(std::uint8_t flag) const { return (flags & flag) != 0; }
+};
+
+/// Sums of row verdicts: the one counter type of the prediction layers
+/// (SimResult, runtime::PredictorStats, runtime::QualityWindow).
+struct PredictionCounts {
+  std::size_t rows = 0;
   std::size_t predictions = 0;
-  /// Predictions proven wrong: the entered state's assertion failed and
-  /// the entry had been a non-deterministic choice — the HMM picked the
-  /// wrong branch (paper Sec. V: revert, penalize, re-route). Always
-  /// <= predictions.
   std::size_t wrong_predictions = 0;
-  /// Assertion failures whose entry was deterministic: behaviour absent
-  /// from the training traces (the paper's "unexpected behaviour" case).
-  /// Disjoint from wrong_predictions — each violation counts once.
   std::size_t unexpected_behaviours = 0;
-  /// Rows that ended desynchronized (counted once per row).
   std::size_t lost_instants = 0;
+  std::size_t resyncs = 0;
+
+  bool operator==(const PredictionCounts&) const = default;
+
+  void add(const RowVerdict& row) {
+    ++rows;
+    predictions += row.predictions;
+    wrong_predictions += row.has(RowVerdict::kWrongPrediction) ? 1 : 0;
+    unexpected_behaviours += row.has(RowVerdict::kUnexpected) ? 1 : 0;
+    lost_instants += row.has(RowVerdict::kLost) ? 1 : 0;
+    resyncs += row.has(RowVerdict::kResync) ? 1 : 0;
+  }
+  /// Undoes add(row) (a sliding window evicting its oldest row).
+  void remove(const RowVerdict& row) {
+    --rows;
+    predictions -= row.predictions;
+    wrong_predictions -= row.has(RowVerdict::kWrongPrediction) ? 1 : 0;
+    unexpected_behaviours -= row.has(RowVerdict::kUnexpected) ? 1 : 0;
+    lost_instants -= row.has(RowVerdict::kLost) ? 1 : 0;
+    resyncs -= row.has(RowVerdict::kResync) ? 1 : 0;
+  }
 
   /// Wrong-state-prediction percentage (Table III "WSP"): wrong
   /// predictions over resolved predictions, in [0, 100].
@@ -99,6 +135,20 @@ struct SimResult {
                : 100.0 * static_cast<double>(wrong_predictions) /
                      static_cast<double>(predictions);
   }
+  double lostPercent() const {
+    return rows == 0 ? 0.0
+                     : 100.0 * static_cast<double>(lost_instants) /
+                           static_cast<double>(rows);
+  }
+  double resyncsPerKiloRow() const {
+    return rows == 0 ? 0.0
+                     : 1000.0 * static_cast<double>(resyncs) /
+                           static_cast<double>(rows);
+  }
+};
+
+struct SimResult : PredictionCounts {
+  std::vector<double> estimate;  ///< per-instant power estimate
 };
 
 class PsmSimulator {
@@ -110,13 +160,14 @@ class PsmSimulator {
   class Session {
    public:
     /// Consumes the next row (one value per trace variable, inputs first)
-    /// and returns the power estimate for that instant.
+    /// and returns the power estimate for that instant; lastRow() holds
+    /// the row's verdict afterwards.
     double step(const std::vector<common::BitVector>& row);
 
-    std::size_t predictions() const { return predictions_; }
-    std::size_t wrongPredictions() const { return wrong_; }
-    std::size_t unexpectedBehaviours() const { return unexpected_; }
-    std::size_t lostInstants() const { return lost_instants_; }
+    /// The verdict of the latest step().
+    const RowVerdict& lastRow() const { return row_; }
+    /// The sum of every verdict since the session started.
+    const PredictionCounts& counts() const { return counts_; }
     StateId currentState() const { return cur_; }
     bool isLost() const { return lost_; }
 
@@ -185,10 +236,10 @@ class PsmSimulator {
     /// survive advanceCore().
     Signature row_sig_;
     std::vector<Config> survivors_;
-    std::size_t predictions_ = 0;
-    std::size_t wrong_ = 0;
-    std::size_t unexpected_ = 0;
-    std::size_t lost_instants_ = 0;
+    /// Some row has ended synced (a later recovery is a resync).
+    bool ever_synced_ = false;
+    RowVerdict row_;
+    PredictionCounts counts_;
   };
 
   Session startSession() const { return Session(*this); }

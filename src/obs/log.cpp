@@ -23,7 +23,8 @@ void appendTimestamp(std::string& out) {
                   1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[40];
+  // Sized for seven full-width ints, so no field value can truncate.
+  char buf[80];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(ms));

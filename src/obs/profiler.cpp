@@ -29,8 +29,8 @@ namespace psmgen::obs {
 namespace {
 
 /// Frames the walk itself contributes on top of the interrupted stack
-/// (sampleCurrentThread + the signal handler; the kernel trampoline is
-/// stripped by name at render time because its presence depends on the
+/// (sampleCurrentThread + the signal handler; the signal trampoline is
+/// stripped at render time because its presence depends on the
 /// unwinder).
 constexpr int kHandlerSkipFrames = 2;
 /// Extra slots captured so the skip never eats real frames.
@@ -274,6 +274,14 @@ bool Profiler::start(const ProfilerConfig& config) {
     }
   }
 
+  // The handler returns through the disposition's sa_restorer (glibc's
+  // __restore_rt on x86-64), which the unwinder reports as the sample's
+  // leaf. dladdr cannot name it, so it is stripped by this address.
+  struct sigaction installed {};
+  trampoline_pc_ = ::sigaction(SIGPROF, nullptr, &installed) == 0
+                       ? reinterpret_cast<void*>(installed.sa_restorer)
+                       : nullptr;
+
   started_monotonic_s_ = nowMonotonicSeconds();
   armed_.store(true, std::memory_order_seq_cst);
 
@@ -363,7 +371,9 @@ ProfileReport Profiler::stop() {
     symbolized.reserve(frames.size());
     // Raw frames are leaf-first; trampoline remnants sit at the leaf.
     std::size_t begin = 0;
-    while (begin < frames.size() && isTrampolineFrame(nameOf(frames[begin]))) {
+    while (begin < frames.size() &&
+           ((trampoline_pc_ != nullptr && frames[begin] == trampoline_pc_) ||
+            isTrampolineFrame(nameOf(frames[begin])))) {
       ++begin;
     }
     for (std::size_t i = frames.size(); i > begin; --i) {

@@ -159,6 +159,9 @@ class Profiler {
   ProfilerConfig config_ GUARDED_BY(control_mu_);
   std::vector<std::unique_ptr<Ring>> rings_ GUARDED_BY(control_mu_);
   double started_monotonic_s_ GUARDED_BY(control_mu_) = 0.0;
+  /// The SIGPROF disposition's signal trampoline (null where the
+  /// platform reports none); render time strips it from sample leaves.
+  void* trampoline_pc_ GUARDED_BY(control_mu_) = nullptr;
 };
 
 /// The process-global profiler (one ITIMER_PROF per process, so one

@@ -41,56 +41,45 @@ OnlinePredictor::OnlinePredictor(const serialize::PsmModel& model,
 void OnlinePredictor::reset() {
   session_ = sim_.startSession();
   stats_ = PredictorStats{};
-  ever_synced_ = false;
   lost_streak_ = 0;
 }
 
 double OnlinePredictor::predictRow(const std::vector<common::BitVector>& row) {
-  const bool was_lost = session_->isLost();
+  using core::RowVerdict;
   const auto t0 = std::chrono::steady_clock::now();
   const double estimate = session_->step(row);
   stats_.seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  ++stats_.rows;
-  // Registry counters take per-row deltas of the session's cumulative
-  // counters (stats_ still holds the previous row's snapshot here).
+  // The stats mirror the session's sums; the registry counters, the
+  // resync histogram and the warn line take this row's verdict.
+  static_cast<core::PredictionCounts&>(stats_) = session_->counts();
+  const RowVerdict& verdict = session_->lastRow();
   PredictorCounters& c = counters();
   c.rows.add(1);
-  c.predictions.add(session_->predictions() - stats_.predictions);
-  c.wrong.add(session_->wrongPredictions() - stats_.wrong_predictions);
-  c.unexpected.add(session_->unexpectedBehaviours() -
-                   stats_.unexpected_behaviours);
-  c.lost.add(session_->lostInstants() - stats_.lost_instants);
-  if (!session_->isLost()) {
-    if (was_lost && ever_synced_) {
-      ++stats_.resyncs;
-      c.resyncs.add(1);
-      // Resync latency: instants spent desynchronized before this
-      // recovery (the paper's "until a known behaviour is recognised").
-      c.resync_latency.record(static_cast<double>(lost_streak_));
-      // A resync is worth a warn line, but a stream drifting off the
-      // trained workload resyncs continuously — the token bucket caps
-      // this call site at ~1 line/s and reports what it elided.
-      static obs::RateLimiter resync_warn_limiter(/*tokens_per_second=*/1.0,
-                                                  /*burst=*/5.0);
-      if (const auto d = resync_warn_limiter.tick(); d.allowed) {
-        obs::warn("predict.resync",
-                  {{"row", stats_.rows},
-                   {"lost_rows", lost_streak_},
-                   {"resyncs", stats_.resyncs},
-                   {"suppressed", d.suppressed}});
-      }
+  c.predictions.add(verdict.predictions);
+  c.wrong.add(verdict.has(RowVerdict::kWrongPrediction) ? 1 : 0);
+  c.unexpected.add(verdict.has(RowVerdict::kUnexpected) ? 1 : 0);
+  c.lost.add(verdict.has(RowVerdict::kLost) ? 1 : 0);
+  if (verdict.has(RowVerdict::kResync)) {
+    c.resyncs.add(1);
+    // Resync latency: instants spent desynchronized before this
+    // recovery (the paper's "until a known behaviour is recognised").
+    c.resync_latency.record(static_cast<double>(lost_streak_));
+    // A resync is worth a warn line, but a stream drifting off the
+    // trained workload resyncs continuously — the token bucket caps
+    // this call site at ~1 line/s and reports what it elided.
+    static obs::RateLimiter resync_warn_limiter(/*tokens_per_second=*/1.0,
+                                                /*burst=*/5.0);
+    if (const auto d = resync_warn_limiter.tick(); d.allowed) {
+      obs::warn("predict.resync",
+                {{"row", stats_.rows},
+                 {"lost_rows", lost_streak_},
+                 {"resyncs", stats_.resyncs},
+                 {"suppressed", d.suppressed}});
     }
-    ever_synced_ = true;
-    lost_streak_ = 0;
-  } else {
-    ++lost_streak_;
   }
-  stats_.predictions = session_->predictions();
-  stats_.wrong_predictions = session_->wrongPredictions();
-  stats_.unexpected_behaviours = session_->unexpectedBehaviours();
-  stats_.lost_instants = session_->lostInstants();
+  lost_streak_ = verdict.has(RowVerdict::kLost) ? lost_streak_ + 1 : 0;
   return estimate;
 }
 

@@ -8,9 +8,11 @@
 // choice resolution, revert-and-penalize resynchronization), driven one
 // row at a time so memory stays constant however long the stream runs.
 //
-// Per-stream counters (rows, HMM-resolved predictions, resyncs, wall
-// time inside the predictor) support the production monitoring story;
-// predictStream() couples the predictor to a StreamingTraceReader for
+// Per-stream counters (the session's PredictionCounts plus wall time
+// inside the predictor) support the production monitoring story; each
+// row's verdict (lastRow()) feeds the registry counters here and, in the
+// caller, a QualityMonitor or the serve wire flags. predictStream(), the
+// only stream loop, couples the predictor to a StreamingTraceReader for
 // the bounded-memory batch path. Per-row estimates are identical to
 // PsmSimulator::simulate on the same rows — streaming changes memory
 // behaviour, never results.
@@ -27,45 +29,14 @@
 
 namespace psmgen::runtime {
 
-/// Counters of one prediction stream (since construction or reset()).
-struct PredictorStats {
-  std::size_t rows = 0;
-  /// Non-deterministic successor choices the HMM filter resolved (same
-  /// definition as SimResult::predictions — resync guesses are excluded,
-  /// see DESIGN.md "Prediction accounting").
-  std::size_t predictions = 0;
-  /// Predictions proven wrong (revert + penalize + re-route). Always
-  /// <= predictions, so wspPercent() is bounded by 100.
-  std::size_t wrong_predictions = 0;
-  /// Assertion failures on a deterministic path: behaviour the training
-  /// traces never covered. Disjoint from wrong_predictions.
-  std::size_t unexpected_behaviours = 0;
-  /// Rows that ended desynchronized from the model.
-  std::size_t lost_instants = 0;
-  /// Recoveries from a desynchronized stretch (lost -> synced, after the
-  /// stream had synchronized at least once).
-  std::size_t resyncs = 0;
-  /// Wall time spent inside predictRow().
+/// Counters of one prediction stream (since construction or reset()):
+/// the session's counts (core/psm_simulator.hpp "Row verdicts") plus the
+/// wall time spent inside predictRow().
+struct PredictorStats : core::PredictionCounts {
   double seconds = 0.0;
 
   double rowsPerSecond() const {
     return seconds > 0.0 ? static_cast<double>(rows) / seconds : 0.0;
-  }
-  double wspPercent() const {
-    return predictions == 0
-               ? 0.0
-               : 100.0 * static_cast<double>(wrong_predictions) /
-                     static_cast<double>(predictions);
-  }
-  double lostPercent() const {
-    return rows == 0 ? 0.0
-                     : 100.0 * static_cast<double>(lost_instants) /
-                           static_cast<double>(rows);
-  }
-  double resyncsPerKiloRow() const {
-    return rows == 0 ? 0.0
-                     : 1000.0 * static_cast<double>(resyncs) /
-                           static_cast<double>(rows);
   }
 };
 
@@ -82,6 +53,9 @@ class OnlinePredictor {
   /// row holds one value per trace variable, in variable-set order.
   double predictRow(const std::vector<common::BitVector>& row);
 
+  /// The verdict of the latest predictRow().
+  const core::RowVerdict& lastRow() const { return session_->lastRow(); }
+
   /// Ends the current stream and starts a fresh one (fresh HMM session,
   /// zeroed counters).
   void reset();
@@ -89,14 +63,10 @@ class OnlinePredictor {
   const PredictorStats& stats() const { return stats_; }
   const core::PsmSimulator& simulator() const { return sim_; }
 
-  /// The state the current stream's session sits in (kNoState before the
-  /// first recognition). Read-only view for monitoring (QualityMonitor's
-  /// per-state occupancy and power-residual tracking).
-  core::StateId currentState() const {
-    return session_ ? session_->currentState() : core::kNoState;
-  }
-  /// True while the stream is desynchronized from the model.
-  bool isLost() const { return !session_ || session_->isLost(); }
+  /// The state the current stream's session sits in: kNoState before
+  /// the first recognition, the last valid state while lost. Read-only
+  /// view for the serve flight events.
+  core::StateId currentState() const { return session_->currentState(); }
 
   /// Streams every row of `reader` through a fresh stream; `sink` (may be
   /// empty) receives (row index, estimate) as rows are consumed — nothing
@@ -115,7 +85,6 @@ class OnlinePredictor {
   core::PsmSimulator sim_;
   std::optional<core::PsmSimulator::Session> session_;
   PredictorStats stats_;
-  bool ever_synced_ = false;
   /// Instants of the current desynchronized stretch; feeds the
   /// `predict.resync_latency_rows` histogram on recovery.
   std::size_t lost_streak_ = 0;

@@ -29,6 +29,17 @@ QualityGauges& gauges() {
   return g;
 }
 
+/// Fixed thresholds: no caller tunes the lost and resync signals.
+constexpr double kLostDegradedPercent = 10.0;
+constexpr double kLostDriftedPercent = 40.0;
+constexpr double kResyncDegradedPerKiloRow = 5.0;
+constexpr double kResyncDriftedPerKiloRow = 25.0;
+/// EWMA smoothing factor for the power residual |power - mu| / sigma.
+constexpr double kResidualAlpha = 0.02;
+/// Occupancy gauges are refreshed every this many rows (they loop over
+/// the per-state table; the scalar gauges update every row).
+constexpr std::size_t kOccupancyUpdateRows = 64;
+
 /// Floor for sigma in the residual z-score: a constant-power state has
 /// sigma == 0, and a regression-refined state legitimately emits a few
 /// permille around mu — without a floor those states would turn any
@@ -48,86 +59,52 @@ const char* driftStatusName(DriftStatus status) {
   return "?";
 }
 
-QualityMonitor::QualityMonitor(OnlinePredictor& predictor,
-                               const core::Psm& psm,
+QualityMonitor::QualityMonitor(const core::Psm& psm,
                                QualityMonitorConfig config)
-    : predictor_(predictor), psm_(&psm), config_(config) {
+    : psm_(&psm), config_(config) {
   occupancy_.assign(psm_->stateCount(), 0);
 }
 
 void QualityMonitor::reset() {
-  predictor_.reset();
   common::MutexLock lock(mutex_);
   ring_.clear();
   window_ = QualityWindow{};
   occupancy_.assign(psm_->stateCount(), 0);
+  rows_seen_ = 0;
   residual_primed_ = false;
   status_.store(static_cast<int>(DriftStatus::Ok),
                 std::memory_order_relaxed);
   gauges().status.set(0.0);
 }
 
-double QualityMonitor::predictRow(const std::vector<common::BitVector>& row) {
-  return predictRowImpl(row, nullptr);
-}
-
-double QualityMonitor::predictRow(const std::vector<common::BitVector>& row,
-                                  double reference) {
-  return predictRowImpl(row, &reference);
-}
-
-double QualityMonitor::predictRowImpl(
-    const std::vector<common::BitVector>& row, const double* reference) {
-  const PredictorStats before = predictor_.stats();
-  const double estimate = predictor_.predictRow(row);
-  const PredictorStats& after = predictor_.stats();
-
-  RowRecord rec;
-  rec.predictions =
-      static_cast<std::uint32_t>(after.predictions - before.predictions);
-  rec.wrong = static_cast<std::uint32_t>(after.wrong_predictions -
-                                         before.wrong_predictions);
-  rec.resyncs = static_cast<std::uint32_t>(after.resyncs - before.resyncs);
-  rec.lost = predictor_.isLost();
-  rec.state = rec.lost ? core::kNoState : predictor_.currentState();
-
+void QualityMonitor::observe(const core::RowVerdict& row, double power) {
   common::MutexLock lock(mutex_);
 
   // Power residual against the occupied state's stored <mu, sigma>; a
   // reference sample measures true error, the bare estimate measures how
   // far the regression output strays from the characterized level.
-  if (!rec.lost && rec.state != core::kNoState) {
-    const core::PowerAttr& power = psm_->state(rec.state).power;
-    const double value = reference != nullptr ? *reference : estimate;
+  if (row.state != core::kNoState) {
+    const core::PowerAttr& attr = psm_->state(row.state).power;
     const double z =
-        std::abs(value - power.mean) / sigmaFloor(power.mean, power.stddev);
+        std::abs(power - attr.mean) / sigmaFloor(attr.mean, attr.stddev);
     if (!residual_primed_) {
       window_.residual_ewma_z = z;
       residual_primed_ = true;
     } else {
-      window_.residual_ewma_z +=
-          config_.residual_alpha * (z - window_.residual_ewma_z);
+      window_.residual_ewma_z += kResidualAlpha * (z - window_.residual_ewma_z);
     }
   }
 
   // Slide the window: admit the new row, evict the oldest beyond the cap.
-  ring_.push_back(rec);
-  ++window_.rows;
-  window_.predictions += rec.predictions;
-  window_.wrong_predictions += rec.wrong;
-  window_.resyncs += rec.resyncs;
-  if (rec.lost) ++window_.lost_instants;
-  if (rec.state != core::kNoState &&
-      static_cast<std::size_t>(rec.state) < occupancy_.size()) {
-    ++occupancy_[static_cast<std::size_t>(rec.state)];
+  ring_.push_back(row);
+  window_.add(row);
+  if (row.state != core::kNoState &&
+      static_cast<std::size_t>(row.state) < occupancy_.size()) {
+    ++occupancy_[static_cast<std::size_t>(row.state)];
   }
   if (ring_.size() > config_.window_rows) {
-    const RowRecord& old = ring_.front();
-    --window_.rows;
-    window_.predictions -= old.predictions;
-    window_.wrong_predictions -= old.wrong;
-    window_.resyncs -= old.resyncs;
-    if (old.lost) --window_.lost_instants;
+    const core::RowVerdict& old = ring_.front();
+    window_.remove(old);
     if (old.state != core::kNoState &&
         static_cast<std::size_t>(old.state) < occupancy_.size()) {
       --occupancy_[static_cast<std::size_t>(old.state)];
@@ -141,12 +118,9 @@ double QualityMonitor::predictRowImpl(
   g.rows.set(static_cast<double>(window_.rows));
   g.wsp.set(window_.wspPercent());
   g.lost.set(window_.lostPercent());
-  g.resyncs.set(window_.resyncsPerKilorow());
+  g.resyncs.set(window_.resyncsPerKiloRow());
   g.residual.set(window_.residual_ewma_z);
-  if (predictor_.stats().rows % config_.occupancy_update_rows == 0) {
-    updateOccupancyGaugesLocked();
-  }
-  return estimate;
+  if (++rows_seen_ % kOccupancyUpdateRows == 0) updateOccupancyGaugesLocked();
 }
 
 void QualityMonitor::evaluateLocked() {
@@ -155,17 +129,16 @@ void QualityMonitor::evaluateLocked() {
     const bool judge_wsp = window_.predictions >= config_.min_predictions;
     const double wsp = judge_wsp ? window_.wspPercent() : 0.0;
     const double lost = window_.lostPercent();
-    const double resyncs = window_.resyncsPerKilorow();
+    const double resyncs = window_.resyncsPerKiloRow();
     const double z = window_.residual_ewma_z;
-    if (wsp >= config_.wsp_drifted_percent ||
-        lost >= config_.lost_drifted_percent ||
-        resyncs >= config_.resync_drifted_per_kilorow ||
+    if (wsp >= config_.wsp_drifted_percent || lost >= kLostDriftedPercent ||
+        resyncs >= kResyncDriftedPerKiloRow ||
         z >= config_.residual_drifted_z) {
       next = DriftStatus::Drifted;
-    } else if (wsp >= config_.wsp_degraded_percent ||
-               lost >= config_.lost_degraded_percent ||
-               resyncs >= config_.resync_degraded_per_kilorow ||
-               z >= config_.residual_degraded_z) {
+    } else if (wsp >= config_.wsp_drifted_percent / 2.0 ||
+               lost >= kLostDegradedPercent ||
+               resyncs >= kResyncDegradedPerKiloRow ||
+               z >= config_.residual_drifted_z / 2.0) {
       next = DriftStatus::Degraded;
     }
   }
@@ -184,7 +157,7 @@ void QualityMonitor::evaluateLocked() {
                        {"window_rows", window_.rows},
                        {"wsp_percent", window_.wspPercent()},
                        {"lost_percent", window_.lostPercent()},
-                       {"resyncs_per_kilorow", window_.resyncsPerKilorow()},
+                       {"resyncs_per_kilorow", window_.resyncsPerKiloRow()},
                        {"residual_ewma_z", window_.residual_ewma_z}});
     if (obs::flightRecorder().enabled()) {
       // The event's session comes from the thread binding (a serve
@@ -212,11 +185,16 @@ void QualityMonitor::evaluateLocked() {
                 {{"window_rows", window_.rows},
                  {"wsp_percent", window_.wspPercent()},
                  {"lost_percent", window_.lostPercent()},
-                 {"resyncs_per_kilorow", window_.resyncsPerKilorow()},
+                 {"resyncs_per_kilorow", window_.resyncsPerKiloRow()},
                  {"residual_ewma_z", window_.residual_ewma_z},
                  {"suppressed", d.suppressed}});
     }
   }
+}
+
+void QualityMonitor::publishOccupancy() {
+  common::MutexLock lock(mutex_);
+  updateOccupancyGaugesLocked();
 }
 
 void QualityMonitor::updateOccupancyGaugesLocked() {
@@ -244,32 +222,6 @@ std::vector<double> QualityMonitor::stateOccupancy() const {
              static_cast<double>(window_.rows);
   }
   return out;
-}
-
-PredictorStats QualityMonitor::predictStream(
-    StreamingTraceReader& reader,
-    const std::function<void(std::size_t, double)>& sink) {
-  reset();
-  obs::Span span("predict.stream", "predict");
-  std::vector<common::BitVector> row;
-  std::size_t index = 0;
-  while (reader.next(row)) {
-    const double estimate = predictRow(row);
-    if (sink) sink(index, estimate);
-    ++index;
-  }
-  const PredictorStats stats = predictor_.stats();
-  obs::metrics().gauge("predict.wsp_percent").set(stats.wspPercent());
-  obs::metrics().gauge("predict.rows_per_second").set(stats.rowsPerSecond());
-  {
-    common::MutexLock lock(mutex_);
-    updateOccupancyGaugesLocked();
-  }
-  obs::debug("quality.stream_done",
-             {{"rows", stats.rows},
-              {"status", driftStatusName(status())},
-              {"window_wsp_percent", window().wspPercent()}});
-  return stats;
 }
 
 }  // namespace psmgen::runtime

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "core/psm.hpp"
+#include "core/psm_simulator.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "serialize/psm_artifact.hpp"
@@ -12,6 +13,14 @@
 namespace psmgen::serve {
 
 namespace {
+
+// EstRow::flags is the row verdict's flag byte, sent as is.
+static_assert(kEstFlagLost == core::RowVerdict::kLost &&
+                  kEstFlagWrongPrediction ==
+                      core::RowVerdict::kWrongPrediction &&
+                  kEstFlagUnexpected == core::RowVerdict::kUnexpected &&
+                  kEstFlagResync == core::RowVerdict::kResync,
+              "the EstRow wire flags are the row verdict's bits");
 
 /// FlightEvent::state encoding of the predictor's current state.
 std::uint16_t flightState(const runtime::OnlinePredictor& predictor) {
@@ -50,7 +59,7 @@ Session::Session(const serialize::PsmModel& model, Config config)
     : model_(model),
       config_(std::move(config)),
       predictor_(model),
-      monitor_(predictor_, model.psm, config_.quality),
+      monitor_(model.psm, config_.quality),
       decoder_(config_.max_frame_payload),
       limiter_(makeLimiter(config_.rows_per_second)) {}
 
@@ -195,18 +204,11 @@ bool Session::handleFrame(const Frame& frame, std::string& out) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
           }
         }
-        const runtime::PredictorStats before = predictor_.stats();
         EstRow est;
-        est.estimate = monitor_.predictRow(row);
-        const runtime::PredictorStats& after = predictor_.stats();
-        if (predictor_.isLost()) est.flags |= kEstFlagLost;
-        if (after.wrong_predictions != before.wrong_predictions) {
-          est.flags |= kEstFlagWrongPrediction;
-        }
-        if (after.unexpected_behaviours != before.unexpected_behaviours) {
-          est.flags |= kEstFlagUnexpected;
-        }
-        if (after.resyncs != before.resyncs) est.flags |= kEstFlagResync;
+        est.estimate = predictor_.predictRow(row);
+        const core::RowVerdict& verdict = predictor_.lastRow();
+        monitor_.observe(verdict, est.estimate);
+        est.flags = verdict.flags;
         // The flight-recorder flag bits deliberately mirror the EstRow
         // wire flags (same four low bits), plus the serving-side bits.
         frame_flags |= est.flags;

@@ -544,21 +544,24 @@ int runPredict(const Args& args) {
   double mre_sum = 0.0;
   std::size_t mre_n = 0;
 
-  // The quality monitor rides along read-only: the estimate CSV on
-  // stdout is byte-identical with or without it, and the windowed drift
+  // The quality monitor observes each row's verdict from the sink: the
+  // estimate CSV on stdout cannot depend on it, and the windowed drift
   // gauges land in --metrics-out for free.
   runtime::StreamingTraceReader reader(args.eval, {args.chunk});
   runtime::OnlinePredictor predictor(model);
-  runtime::QualityMonitor monitor(predictor, model.psm);
+  runtime::QualityMonitor monitor(model.psm);
+  monitor.reset();  // publishes quality.status = ok before the first row
   std::printf("instant,power_w\n");
-  const runtime::PredictorStats stats = monitor.predictStream(
+  const runtime::PredictorStats stats = predictor.predictStream(
       reader, [&](std::size_t t, double estimate) {
         std::printf("%zu,%.9e\n", t, estimate);
+        monitor.observe(predictor.lastRow(), estimate);
         if (t < ref.size() && ref[t] != 0.0) {
           mre_sum += std::abs(estimate - ref[t]) / ref[t];
           ++mre_n;
         }
       });
+  monitor.publishOccupancy();
   obs::info("predict.summary",
             {{"instants", stats.rows},
              {"wsp_percent", stats.wspPercent()},
@@ -653,9 +656,7 @@ int runServe(const Args& args) {
   config.quality.window_rows = args.window;
   config.quality.min_rows = std::min(config.quality.min_rows, args.window);
   config.quality.wsp_drifted_percent = args.drift_wsp;
-  config.quality.wsp_degraded_percent = args.drift_wsp / 2.0;
   config.quality.residual_drifted_z = args.drift_z;
-  config.quality.residual_degraded_z = args.drift_z / 2.0;
   serve::PredictionServer prediction(model, config);
 
   obs::HttpServer server;

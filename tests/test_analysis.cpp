@@ -108,7 +108,9 @@ TEST(Analyzer, UnreachableStateIsAnError) {
   EXPECT_FALSE(report.clean());
   // The locus names the orphan.
   for (const auto& f : report.findings) {
-    if (f.check_id == "PSM-STATE-001") EXPECT_EQ(f.locus.state, id);
+    if (f.check_id == "PSM-STATE-001") {
+      EXPECT_EQ(f.locus.state, id);
+    }
   }
 }
 

@@ -10,10 +10,12 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -117,6 +119,63 @@ TEST(Profiler, SymbolizesTheBusyLoop) {
   EXPECT_NE(collapsed.find("psmgen::profilerTestBurnLoop"),
             std::string::npos)
       << collapsed;
+}
+
+/// ThreadSanitizer defers each signal to its next interceptor and runs
+/// the handler from inside its runtime, so under TSan a sample's leaf is
+/// a TSan frame, never the interrupted user function.
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kThreadSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kThreadSanitizer = true;
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+
+/// Samples per leaf (self) frame: the last frame of each root-first
+/// stack.
+std::map<std::string, std::uint64_t> selfCounts(
+    const obs::ProfileReport& report) {
+  std::map<std::string, std::uint64_t> leaves;
+  for (const auto& stack : report.stacks) {
+    leaves[stack.frames.back()] += stack.count;
+  }
+  return leaves;
+}
+
+TEST(Profiler, BurnLoopIsTheTopSelfFrame) {
+  if (kThreadSanitizer) GTEST_SKIP() << "TSan runs handlers in its runtime";
+  obs::ProfilerConfig config;
+  config.hz = 500.0;
+  const obs::ProfileReport report = captureUntil(
+      config, /*threads=*/2, /*session=*/0,
+      [](const obs::ProfileReport& r) {
+        return selfCounts(r)["psmgen::profilerTestBurnLoop"] >= 10;
+      });
+  const auto leaves = selfCounts(report);
+  ASSERT_FALSE(leaves.empty());
+  const auto top = std::max_element(
+      leaves.begin(), leaves.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  EXPECT_EQ(top->first, "psmgen::profilerTestBurnLoop")
+      << obs::renderCollapsed(report);
+
+  // The handler returns through the signal trampoline (sa_restorer of
+  // the installed disposition where the platform has one); it must
+  // never be booked as self time, named or not.
+  struct sigaction installed {};
+  ASSERT_EQ(::sigaction(SIGPROF, nullptr, &installed), 0);
+  char restorer[32];
+  std::snprintf(restorer, sizeof(restorer), "0x%zx",
+                reinterpret_cast<std::size_t>(installed.sa_restorer));
+  for (const auto& [leaf, count] : leaves) {
+    EXPECT_EQ(leaf.find("__restore_rt"), std::string::npos) << leaf;
+    EXPECT_NE(leaf, restorer) << count << " samples";
+  }
 }
 
 constexpr std::uint64_t kSession = 4242;

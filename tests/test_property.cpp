@@ -176,8 +176,9 @@ TEST_P(PipelineProperty, TrainingReplayNeverLosesSync) {
     EXPECT_EQ(r.lost_instants, 0u) << "seed " << GetParam();
     // Training behaviour is always recognisable again: at most a bounded
     // number of reinterpretation events may fail when an ambiguity chain
-    // exceeds the simulator's bounded backtracking (see
-    // SimOptions/Checkpoint); it must never snowball.
+    // exceeds the simulator's bounded backtracking (the checkpoint stack,
+    // PsmSimulator::Session::kMaxCheckpoints and kMaxBacktrackRuns); it
+    // must never snowball.
     EXPECT_LE(r.unexpected_behaviours + r.wrong_predictions, 1u)
         << "seed " << GetParam();
   }

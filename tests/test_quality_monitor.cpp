@@ -1,12 +1,15 @@
 // Tests of the prediction-quality drift monitor
-// (runtime/quality_monitor.hpp): estimate transparency (byte-identical
-// to the bare predictor), drift-state transitions on a synthetic
-// drifting trace, recovery once the window slides past the drift, the
-// residual signal under a biased power reference, windowed occupancy,
-// and reset() after drift.
+// (runtime/quality_monitor.hpp), fed the way serve and the CLI feed it —
+// predict a row, then observe() its verdict: estimate transparency
+// (byte-identical to the bare predictor), drift-state transitions on a
+// synthetic drifting trace, recovery once the window slides past the
+// drift, the residual signal under a biased power reference, windowed
+// occupancy and counts, and reset() after drift.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <sstream>
 #include <vector>
 
@@ -97,6 +100,18 @@ std::vector<std::vector<BitVector>> garbageRows(std::uint64_t seed,
   return rows;
 }
 
+/// Predicts `row` and hands its verdict to `monitor` with `power` (the
+/// estimate when no reference sample is given); returns the estimate.
+double feed(runtime::OnlinePredictor& predictor,
+            runtime::QualityMonitor& monitor,
+            const std::vector<BitVector>& row,
+            const double* power = nullptr) {
+  const double estimate = predictor.predictRow(row);
+  monitor.observe(predictor.lastRow(),
+                  power != nullptr ? *power : estimate);
+  return estimate;
+}
+
 /// Small window so the transition tests run on short streams.
 runtime::QualityMonitorConfig testConfig() {
   runtime::QualityMonitorConfig config;
@@ -114,12 +129,11 @@ TEST(QualityMonitor, MonitorDoesNotChangeEstimates) {
   runtime::OnlinePredictor bare(toyFlow().psm(), toyFlow().domain());
   const std::vector<double> expected = bare.predictTrace(eval);
 
-  runtime::OnlinePredictor wrapped(toyFlow().psm(), toyFlow().domain());
-  runtime::QualityMonitor monitor(wrapped, toyFlow().psm(), testConfig());
-  monitor.reset();
+  runtime::OnlinePredictor observed(toyFlow().psm(), toyFlow().domain());
+  runtime::QualityMonitor monitor(toyFlow().psm(), testConfig());
   ASSERT_EQ(expected.size(), eval.length());
   for (std::size_t t = 0; t < eval.length(); ++t) {
-    const double estimate = monitor.predictRow(eval.step(t));
+    const double estimate = feed(observed, monitor, eval.step(t));
     // Bit-identical, not approximately equal: monitoring is read-only.
     ASSERT_EQ(estimate, expected[t]) << "row " << t;
   }
@@ -137,20 +151,25 @@ TEST(QualityMonitor, PredictStreamMatchesBatchPrediction) {
   std::istringstream is(csv.str());
   runtime::StreamingTraceReader reader(is);
 
-  runtime::OnlinePredictor wrapped(toyFlow().psm(), toyFlow().domain());
-  runtime::QualityMonitor monitor(wrapped, toyFlow().psm(), testConfig());
+  runtime::OnlinePredictor predictor(toyFlow().psm(), toyFlow().domain());
+  runtime::QualityMonitor monitor(toyFlow().psm(), testConfig());
   std::vector<double> streamed(eval.length(), -1.0);
-  const runtime::PredictorStats stats = monitor.predictStream(
-      reader, [&](std::size_t i, double e) { streamed.at(i) = e; });
+  const runtime::PredictorStats stats = predictor.predictStream(
+      reader, [&](std::size_t i, double e) {
+        streamed.at(i) = e;
+        monitor.observe(predictor.lastRow(), e);
+      });
   EXPECT_EQ(stats.rows, eval.length());
   EXPECT_EQ(streamed, expected);
+  EXPECT_EQ(monitor.window().rows,
+            std::min<std::size_t>(eval.length(),
+                                  testConfig().window_rows));
 }
 
 TEST(QualityMonitor, StaysOkOnInDistributionStream) {
   runtime::OnlinePredictor predictor(toyFlow().psm(), toyFlow().domain());
-  runtime::QualityMonitor monitor(predictor, toyFlow().psm(), testConfig());
-  monitor.reset();
-  for (const auto& row : goodRows(11, 60)) monitor.predictRow(row);
+  runtime::QualityMonitor monitor(toyFlow().psm(), testConfig());
+  for (const auto& row : goodRows(11, 60)) feed(predictor, monitor, row);
   EXPECT_EQ(monitor.status(), DriftStatus::Ok);
   const runtime::QualityWindow w = monitor.window();
   EXPECT_EQ(w.rows, 64u);
@@ -160,11 +179,10 @@ TEST(QualityMonitor, StaysOkOnInDistributionStream) {
 
 TEST(QualityMonitor, DriftsOnGarbageThenRecovers) {
   runtime::OnlinePredictor predictor(toyFlow().psm(), toyFlow().domain());
-  runtime::QualityMonitor monitor(predictor, toyFlow().psm(), testConfig());
-  monitor.reset();
+  runtime::QualityMonitor monitor(toyFlow().psm(), testConfig());
 
   // Phase 1 — in-distribution: the monitor settles at Ok.
-  for (const auto& row : goodRows(13, 60)) monitor.predictRow(row);
+  for (const auto& row : goodRows(13, 60)) feed(predictor, monitor, row);
   ASSERT_EQ(monitor.status(), DriftStatus::Ok);
 
   // Phase 2 — distribution shift: random rows desynchronize the
@@ -173,7 +191,7 @@ TEST(QualityMonitor, DriftsOnGarbageThenRecovers) {
   // level must be visible on the way).
   bool saw_degraded = false;
   for (const auto& row : garbageRows(17, 120)) {
-    monitor.predictRow(row);
+    feed(predictor, monitor, row);
     if (monitor.status() == DriftStatus::Degraded) saw_degraded = true;
     if (monitor.status() == DriftStatus::Drifted) break;
   }
@@ -184,17 +202,18 @@ TEST(QualityMonitor, DriftsOnGarbageThenRecovers) {
   // Phase 3 — the workload returns to the characterized distribution:
   // once the window slides fully past the garbage (and any resync
   // spike), the status must come back to Ok without a reset.
-  for (const auto& row : goodRows(19, 200)) monitor.predictRow(row);
+  for (const auto& row : goodRows(19, 200)) feed(predictor, monitor, row);
   EXPECT_EQ(monitor.status(), DriftStatus::Ok);
   EXPECT_EQ(monitor.window().lost_instants, 0u);
 
   // Phase 4 — drift again, then reset(): a fresh stream starts Ok with
   // an empty window.
   for (const auto& row : garbageRows(37, 120)) {
-    monitor.predictRow(row);
+    feed(predictor, monitor, row);
     if (monitor.status() == DriftStatus::Drifted) break;
   }
   ASSERT_EQ(monitor.status(), DriftStatus::Drifted);
+  predictor.reset();
   monitor.reset();
   EXPECT_EQ(monitor.status(), DriftStatus::Ok);
   EXPECT_EQ(monitor.window().rows, 0u);
@@ -202,23 +221,21 @@ TEST(QualityMonitor, DriftsOnGarbageThenRecovers) {
 
 TEST(QualityMonitor, BiasedReferencePowerDriftsResidualSignal) {
   runtime::OnlinePredictor predictor(toyFlow().psm(), toyFlow().domain());
-  runtime::QualityMonitor monitor(predictor, toyFlow().psm(), testConfig());
-  monitor.reset();
+  runtime::QualityMonitor monitor(toyFlow().psm(), testConfig());
 
   // Reference equal to the estimate: zero residual, healthy.
-  for (const auto& row : goodRows(23, 60)) {
-    const double estimate = monitor.predictRow(row);
-    (void)estimate;
-  }
+  for (const auto& row : goodRows(23, 60)) feed(predictor, monitor, row);
   ASSERT_EQ(monitor.status(), DriftStatus::Ok);
 
   // The plant's measured power departs from every state's <mu, sigma>:
   // the residual EWMA is the only signal that can see it (the
   // functional stream still fits the model perfectly).
+  predictor.reset();
   monitor.reset();
   std::size_t fed = 0;
+  const double reference = 1e6;
   for (const auto& row : goodRows(23, 60)) {
-    monitor.predictRow(row, /*reference=*/1e6);
+    feed(predictor, monitor, row, &reference);
     ++fed;
     if (fed >= 48 && monitor.status() == DriftStatus::Drifted) break;
   }
@@ -229,9 +246,8 @@ TEST(QualityMonitor, BiasedReferencePowerDriftsResidualSignal) {
 
 TEST(QualityMonitor, WindowedOccupancyCoversSyncedRows) {
   runtime::OnlinePredictor predictor(toyFlow().psm(), toyFlow().domain());
-  runtime::QualityMonitor monitor(predictor, toyFlow().psm(), testConfig());
-  monitor.reset();
-  for (const auto& row : goodRows(29, 60)) monitor.predictRow(row);
+  runtime::QualityMonitor monitor(toyFlow().psm(), testConfig());
+  for (const auto& row : goodRows(29, 60)) feed(predictor, monitor, row);
   const std::vector<double> occupancy = monitor.stateOccupancy();
   EXPECT_EQ(occupancy.size(), toyFlow().psm().stateCount());
   double sum = 0.0;
@@ -243,6 +259,28 @@ TEST(QualityMonitor, WindowedOccupancyCoversSyncedRows) {
   // Every windowed row is synced by now, so the fractions partition the
   // window.
   EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+TEST(QualityMonitor, WindowSumsTheLastWindowRowsVerdicts) {
+  runtime::OnlinePredictor predictor(toyFlow().psm(), toyFlow().domain());
+  const runtime::QualityMonitorConfig config = testConfig();
+  runtime::QualityMonitor monitor(toyFlow().psm(), config);
+  std::vector<std::vector<BitVector>> rows = goodRows(31, 30);
+  for (auto& row : garbageRows(41, 100)) rows.push_back(std::move(row));
+  for (auto& row : goodRows(43, 30)) rows.push_back(std::move(row));
+
+  std::deque<core::RowVerdict> last;
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    feed(predictor, monitor, rows[t]);
+    last.push_back(predictor.lastRow());
+    if (last.size() > config.window_rows) last.pop_front();
+    core::PredictionCounts expected;
+    for (const core::RowVerdict& row : last) expected.add(row);
+    const core::PredictionCounts window = monitor.window();
+    ASSERT_EQ(window, expected) << "row " << t;
+  }
+  EXPECT_GT(predictor.stats().lost_instants, 0u);
+  EXPECT_GT(predictor.stats().resyncs, 0u);
 }
 
 }  // namespace

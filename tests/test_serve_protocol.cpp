@@ -1,9 +1,9 @@
 // Wire-codec tests for the prediction service protocol (serve/): golden
 // byte strings, encode/decode round-trips including multi-limb values,
 // the incremental FrameDecoder against short reads split at every byte
-// boundary, malformed/oversized/garbage frames, and the Session state
-// machine's negotiation error paths — all pure bytes-in/bytes-out, no
-// sockets.
+// boundary, malformed/oversized/garbage frames, the Session state
+// machine's negotiation error paths, and the per-row Est flags against
+// the FinAck counters — all pure bytes-in/bytes-out, no sockets.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/bitvector.hpp"
+#include "common/rng.hpp"
 #include "core/proposition.hpp"
 #include "core/psm.hpp"
 #include "serialize/psm_artifact.hpp"
@@ -320,6 +321,13 @@ serialize::PsmModel tinyModel() {
   return {std::move(domain), std::move(psm)};
 }
 
+/// Session config naming the tiny model.
+Session::Config tinyConfig() {
+  Session::Config config;
+  config.model_id = "tiny";
+  return config;
+}
+
 /// Feeds bytes and splits the response back into frames.
 std::vector<Frame> pump(Session& session, const std::string& bytes) {
   std::string out;
@@ -333,7 +341,7 @@ std::vector<Frame> pump(Session& session, const std::string& bytes) {
 
 TEST(ServeSession, HelloNegotiatesAndReportsModelShape) {
   const serialize::PsmModel model = tinyModel();
-  Session session(model, {.model_id = "tiny"});
+  Session session(model, tinyConfig());
   const auto frames = pump(session, encodeHello({kProtocolVersion, "", ""}));
   ASSERT_EQ(frames.size(), 1u);
   ASSERT_EQ(frames[0].type, FrameType::HelloOk);
@@ -349,7 +357,7 @@ TEST(ServeSession, HelloNegotiatesAndReportsModelShape) {
 
 TEST(ServeSession, VersionMismatchIsRejectedBeforeAnyRow) {
   const serialize::PsmModel model = tinyModel();
-  Session session(model, {.model_id = "tiny"});
+  Session session(model, tinyConfig());
   const auto frames = pump(session, encodeHello({2, "", ""}));
   ASSERT_EQ(frames.size(), 1u);
   ASSERT_EQ(frames[0].type, FrameType::Error);
@@ -360,14 +368,14 @@ TEST(ServeSession, VersionMismatchIsRejectedBeforeAnyRow) {
 TEST(ServeSession, WrongModelIdAndVariablesAreRejected) {
   const serialize::PsmModel model = tinyModel();
   {
-    Session session(model, {.model_id = "tiny"});
+    Session session(model, tinyConfig());
     const auto frames =
         pump(session, encodeHello({kProtocolVersion, "other", ""}));
     ASSERT_EQ(frames.size(), 1u);
     EXPECT_EQ(decodeError(frames[0].payload).code, ErrorCode::BadModel);
   }
   {
-    Session session(model, {.model_id = "tiny"});
+    Session session(model, tinyConfig());
     const auto frames = pump(
         session, encodeHello({kProtocolVersion, "tiny", "bogus:in:1"}));
     ASSERT_EQ(frames.size(), 1u);
@@ -377,7 +385,7 @@ TEST(ServeSession, WrongModelIdAndVariablesAreRejected) {
 
 TEST(ServeSession, RowsBeforeHelloIsAProtocolError) {
   const serialize::PsmModel model = tinyModel();
-  Session session(model, {.model_id = "tiny"});
+  Session session(model, tinyConfig());
   const auto frames =
       pump(session, encodeRows({{BitVector(1, 0), BitVector(8, 0)}}));
   ASSERT_EQ(frames.size(), 1u);
@@ -387,7 +395,7 @@ TEST(ServeSession, RowsBeforeHelloIsAProtocolError) {
 
 TEST(ServeSession, StreamsRowsAndSummarizesOnFin) {
   const serialize::PsmModel model = tinyModel();
-  Session session(model, {.model_id = "tiny"});
+  Session session(model, tinyConfig());
   ASSERT_EQ(pump(session, encodeHello({kProtocolVersion, "tiny", ""})).size(),
             1u);
   std::vector<std::vector<BitVector>> rows;
@@ -409,7 +417,7 @@ TEST(ServeSession, StreamsRowsAndSummarizesOnFin) {
 
 TEST(ServeSession, GarbageBytesFailTheSessionWithAnErrorFrame) {
   const serialize::PsmModel model = tinyModel();
-  Session session(model, {.model_id = "tiny"});
+  Session session(model, tinyConfig());
   const std::uint8_t garbage[] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
   std::string out;
   EXPECT_FALSE(session.consume(garbage, sizeof(garbage), out));
@@ -423,7 +431,7 @@ TEST(ServeSession, GarbageBytesFailTheSessionWithAnErrorFrame) {
 
 TEST(ServeSession, AbortEmitsTheGivenCodeOnce) {
   const serialize::PsmModel model = tinyModel();
-  Session session(model, {.model_id = "tiny"});
+  Session session(model, tinyConfig());
   std::string out;
   session.abort(ErrorCode::Draining, "server is draining", out);
   FrameDecoder decoder;
@@ -435,6 +443,89 @@ TEST(ServeSession, AbortEmitsTheGivenCodeOnce) {
   std::string again;
   session.abort(ErrorCode::IdleTimeout, "idle", again);
   EXPECT_TRUE(again.empty());
+}
+
+/// A model whose streams exercise every row verdict: one 2-bit input
+/// "m" with an atom per value, where m=3 is no known proposition (a
+/// garbage row), and a diamond s0 -p1-> s1 (x3) | s2 (x1), s1 -p0-> s0.
+/// p1 in s0 is a choice, p2 in s1 a wrong prediction, a garbage row an
+/// unexpected behaviour, and every recognition after a lost row a resync.
+serialize::PsmModel diamondModel() {
+  trace::VariableSet vars;
+  vars.add("m", 2, trace::VarKind::Input);
+  std::vector<core::AtomicProposition> atoms(4);
+  for (unsigned k = 0; k < 4; ++k) {
+    atoms[k].lhs = 0;
+    atoms[k].rhs_const = BitVector(2, k);
+  }
+  core::PropositionDomain domain(vars, atoms);
+  std::vector<core::PropId> p;
+  for (unsigned k = 0; k < 3; ++k) {
+    p.push_back(domain.internRow({BitVector(2, k)}));
+  }
+
+  core::Psm psm;
+  core::PowerState s0;
+  s0.assertion.alts = {{{p[0], p[1], true}}};
+  s0.power = core::PowerAttr::single(1.0, 0.1, 100);
+  s0.initial_count = 1;
+  core::PowerState s1;
+  s1.assertion.alts = {{{p[1], p[0], true}}};
+  s1.power = core::PowerAttr::single(5.0, 0.1, 60);
+  core::PowerState s2;
+  s2.assertion.alts = {{{p[1], p[2], true}}};
+  s2.power = core::PowerAttr::single(9.0, 0.1, 20);
+  psm.addState(std::move(s0));
+  psm.addState(std::move(s1));
+  psm.addState(std::move(s2));
+  psm.addInitial(0);
+  psm.addTransition({0, 1, p[1], 3});
+  psm.addTransition({0, 2, p[1], 1});
+  psm.addTransition({1, 0, p[0], 3});
+  return {std::move(domain), std::move(psm)};
+}
+
+TEST(ServeSession, RowFlagsTallyToTheFinAckCounters) {
+  const serialize::PsmModel model = diamondModel();
+  Session session(model, {});
+  ASSERT_EQ(pump(session, encodeHello({kProtocolVersion, "", ""})).size(),
+            1u);
+  common::Rng rng(5);
+  std::size_t rows = 0;
+  std::size_t lost = 0;
+  std::size_t wrong = 0;
+  std::size_t unexpected = 0;
+  std::size_t resyncs = 0;
+  for (int frame = 0; frame < 12; ++frame) {
+    std::vector<std::vector<BitVector>> batch;
+    for (int i = 0; i < 50; ++i) {
+      batch.push_back({BitVector(2, rng.uniform(4))});
+    }
+    const auto est_frames = pump(session, encodeRows(batch));
+    ASSERT_EQ(est_frames.size(), 1u);
+    ASSERT_EQ(est_frames[0].type, FrameType::Est);
+    for (const EstRow& est : decodeEst(est_frames[0].payload)) {
+      ++rows;
+      lost += (est.flags & kEstFlagLost) != 0 ? 1 : 0;
+      wrong += (est.flags & kEstFlagWrongPrediction) != 0 ? 1 : 0;
+      unexpected += (est.flags & kEstFlagUnexpected) != 0 ? 1 : 0;
+      resyncs += (est.flags & kEstFlagResync) != 0 ? 1 : 0;
+    }
+  }
+  const auto fin_frames = pump(session, encodeFin());
+  ASSERT_EQ(fin_frames.size(), 1u);
+  ASSERT_EQ(fin_frames[0].type, FrameType::FinAck);
+  const FinSummary fin = decodeFinAck(fin_frames[0].payload);
+  EXPECT_EQ(fin.rows, rows);
+  EXPECT_EQ(fin.lost_instants, lost);
+  EXPECT_EQ(fin.wrong_predictions, wrong);
+  EXPECT_EQ(fin.unexpected_behaviours, unexpected);
+  EXPECT_EQ(fin.resyncs, resyncs);
+  // The stream exercised every flag.
+  EXPECT_GT(lost, 0u);
+  EXPECT_GT(wrong, 0u);
+  EXPECT_GT(unexpected, 0u);
+  EXPECT_GT(resyncs, 0u);
 }
 
 }  // namespace

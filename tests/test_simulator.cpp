@@ -178,8 +178,8 @@ TEST(Simulator, StreamingSessionMatchesBatch) {
   for (std::size_t i = 0; i < eval.length(); ++i) {
     EXPECT_DOUBLE_EQ(session.step(eval.step(i)), batch.estimate[i]);
   }
-  EXPECT_EQ(session.wrongPredictions(), batch.wrong_predictions);
-  EXPECT_EQ(session.lostInstants(), batch.lost_instants);
+  EXPECT_EQ(session.counts().wrong_predictions, batch.wrong_predictions);
+  EXPECT_EQ(session.counts().lost_instants, batch.lost_instants);
 }
 
 TEST(Simulator, EmptyPsmIsRejected) {
@@ -265,29 +265,29 @@ TEST(Simulator, PenalizedTransitionRedirectsNextChoice) {
   session.step(modeRow(0));
   session.step(modeRow(1));  // exit choice among {s1, s2}: picks s1 (3:1)
   EXPECT_EQ(session.currentState(), 1);
-  EXPECT_EQ(session.predictions(), 1u);
-  EXPECT_EQ(session.wrongPredictions(), 0u);
+  EXPECT_EQ(session.counts().predictions, 1u);
+  EXPECT_EQ(session.counts().wrong_predictions, 0u);
 
   session.step(modeRow(2));  // s1's assertion dies: wrong prediction
-  EXPECT_EQ(session.wrongPredictions(), 1u);
-  EXPECT_EQ(session.unexpectedBehaviours(), 0u);
+  EXPECT_EQ(session.counts().wrong_predictions, 1u);
+  EXPECT_EQ(session.counts().unexpected_behaviours, 0u);
   EXPECT_EQ(session.currentState(), 0);  // reverted to the last valid state
   EXPECT_TRUE(session.isLost());
-  EXPECT_EQ(session.lostInstants(), 1u);
+  EXPECT_EQ(session.counts().lost_instants, 1u);
 
   session.step(modeRow(0));  // resynchronizes on s0: not a prediction
   EXPECT_FALSE(session.isLost());
-  EXPECT_EQ(session.predictions(), 1u);
-  EXPECT_EQ(session.lostInstants(), 1u);
+  EXPECT_EQ(session.counts().predictions, 1u);
+  EXPECT_EQ(session.counts().lost_instants, 1u);
 
   // The penalty is still active at the next exit: the 3:1 favourite s1 is
   // suppressed and the filter must route to s2 instead.
   const double power = session.step(modeRow(1));
   EXPECT_EQ(session.currentState(), 2);
   EXPECT_DOUBLE_EQ(power, 9.0);
-  EXPECT_EQ(session.predictions(), 2u);
-  EXPECT_EQ(session.wrongPredictions(), 1u);
-  EXPECT_LE(session.wrongPredictions(), session.predictions());
+  EXPECT_EQ(session.counts().predictions, 2u);
+  EXPECT_EQ(session.counts().wrong_predictions, 1u);
+  EXPECT_LE(session.counts().wrong_predictions, session.counts().predictions);
 }
 
 TEST(Simulator, FirstMispredictionPenalizesStateWithoutSource) {
@@ -322,15 +322,15 @@ TEST(Simulator, FirstMispredictionPenalizesStateWithoutSource) {
   // Initial choice among {s1, s2}: pi favours s1 3:1.
   session.step(modeRow(1));
   EXPECT_EQ(session.currentState(), 1);
-  EXPECT_EQ(session.predictions(), 1u);
+  EXPECT_EQ(session.counts().predictions, 1u);
 
   // p2 kills s1's assertion: a wrong prediction with no source state.
   session.step(modeRow(2));
-  EXPECT_EQ(session.wrongPredictions(), 1u);
-  EXPECT_EQ(session.unexpectedBehaviours(), 0u);
+  EXPECT_EQ(session.counts().wrong_predictions, 1u);
+  EXPECT_EQ(session.counts().unexpected_behaviours, 0u);
   EXPECT_EQ(session.currentState(), kNoState);
   EXPECT_TRUE(session.isLost());
-  EXPECT_EQ(session.lostInstants(), 1u);
+  EXPECT_EQ(session.counts().lost_instants, 1u);
 
   // Resynchronization on p1 again: both s1 and s2 match, but the
   // penalized belief suppresses s1 — without penalizeState the training
@@ -339,8 +339,8 @@ TEST(Simulator, FirstMispredictionPenalizesStateWithoutSource) {
   session.step(modeRow(1));
   EXPECT_EQ(session.currentState(), 2);
   EXPECT_FALSE(session.isLost());
-  EXPECT_EQ(session.predictions(), 1u);
-  EXPECT_EQ(session.wrongPredictions(), 1u);
+  EXPECT_EQ(session.counts().predictions, 1u);
+  EXPECT_EQ(session.counts().wrong_predictions, 1u);
 }
 
 TEST(Simulator, CheckpointSurvivesLongDwell) {
@@ -381,9 +381,101 @@ TEST(Simulator, CheckpointSurvivesLongDwell) {
   session.step(modeRow(3));
   EXPECT_EQ(session.currentState(), 2);
   EXPECT_FALSE(session.isLost());
-  EXPECT_EQ(session.wrongPredictions(), 0u);
-  EXPECT_EQ(session.unexpectedBehaviours(), 0u);
-  EXPECT_EQ(session.lostInstants(), 0u);
+  EXPECT_EQ(session.counts().wrong_predictions, 0u);
+  EXPECT_EQ(session.counts().unexpected_behaviours, 0u);
+  EXPECT_EQ(session.counts().lost_instants, 0u);
+}
+
+
+TEST(Simulator, RowVerdictsSumToTheSessionCounts) {
+  // The diamond of PenalizedTransitionRedirectsNextChoice, fed random
+  // modes: p1 in s0 is a choice, p2 in s1 a wrong prediction, p3 (no
+  // pattern accepts it) an unexpected behaviour, and every recognition
+  // after a lost row a resync.
+  TinyDomain d = tinyDomain();
+  Psm psm;
+  PowerState s0;
+  s0.assertion.alts.push_back(PatternSeq{{d.p[0], d.p[1], true}});
+  s0.power = PowerAttr::single(1.0, 0.1, 100);
+  s0.initial_count = 1;
+  PowerState s1;
+  s1.assertion.alts.push_back(PatternSeq{{d.p[1], d.p[0], true}});
+  s1.power = PowerAttr::single(5.0, 0.1, 60);
+  PowerState s2;
+  s2.assertion.alts.push_back(PatternSeq{{d.p[1], d.p[2], true}});
+  s2.power = PowerAttr::single(9.0, 0.1, 20);
+  psm.addState(std::move(s0));
+  psm.addState(std::move(s1));
+  psm.addState(std::move(s2));
+  psm.addInitial(0);
+  psm.addTransition({0, 1, d.p[1], 3});
+  psm.addTransition({0, 2, d.p[1], 1});
+  psm.addTransition({1, 0, d.p[0], 3});
+  const PsmSimulator sim(psm, d.domain);
+  auto session = sim.startSession();
+
+  common::Rng rng(99);
+  PredictionCounts sum;
+  for (int t = 0; t < 2000; ++t) {
+    session.step(modeRow(static_cast<unsigned>(rng.uniform(4))));
+    const RowVerdict& row = session.lastRow();
+    sum.add(row);
+    ASSERT_EQ(session.counts(), sum) << "row " << t;
+    EXPECT_FALSE(row.has(RowVerdict::kWrongPrediction) &&
+                 row.has(RowVerdict::kUnexpected))
+        << "row " << t;
+    EXPECT_EQ(row.has(RowVerdict::kLost), row.state == kNoState)
+        << "row " << t;
+    EXPECT_EQ(row.has(RowVerdict::kLost), session.isLost()) << "row " << t;
+  }
+  // The stream exercised every verdict kind.
+  EXPECT_GT(sum.predictions, 0u);
+  EXPECT_GT(sum.wrong_predictions, 0u);
+  EXPECT_GT(sum.unexpected_behaviours, 0u);
+  EXPECT_GT(sum.lost_instants, 0u);
+  EXPECT_GT(sum.resyncs, 0u);
+  EXPECT_LE(sum.wrong_predictions, sum.predictions);
+}
+
+// The quality monitor keeps one verdict per windowed row.
+static_assert(sizeof(RowVerdict) <= 12, "a row verdict stays 12 bytes");
+
+TEST(PredictionCounts, RemoveUndoesAdd) {
+  RowVerdict synced;
+  synced.state = 2;
+  synced.predictions = 3;
+  synced.flags = RowVerdict::kWrongPrediction | RowVerdict::kResync;
+  RowVerdict lost;
+  lost.flags = RowVerdict::kLost | RowVerdict::kUnexpected;
+
+  PredictionCounts only_lost;
+  only_lost.add(lost);
+
+  PredictionCounts counts;
+  counts.add(synced);
+  counts.add(lost);
+  EXPECT_EQ(counts.rows, 2u);
+  EXPECT_EQ(counts.predictions, 3u);
+  EXPECT_EQ(counts.wrong_predictions, 1u);
+  EXPECT_EQ(counts.unexpected_behaviours, 1u);
+  EXPECT_EQ(counts.lost_instants, 1u);
+  EXPECT_EQ(counts.resyncs, 1u);
+  counts.remove(synced);
+  EXPECT_EQ(counts, only_lost);
+  counts.remove(lost);
+  EXPECT_EQ(counts, PredictionCounts{});
+}
+
+TEST(PredictionCounts, RatiosGuardEmptyDenominators) {
+  PredictionCounts counts;
+  EXPECT_DOUBLE_EQ(counts.wspPercent(), 0.0);
+  EXPECT_DOUBLE_EQ(counts.lostPercent(), 0.0);
+  EXPECT_DOUBLE_EQ(counts.resyncsPerKiloRow(), 0.0);
+  counts.rows = 200;
+  counts.lost_instants = 50;
+  counts.resyncs = 3;
+  EXPECT_DOUBLE_EQ(counts.lostPercent(), 25.0);
+  EXPECT_DOUBLE_EQ(counts.resyncsPerKiloRow(), 15.0);
 }
 
 }  // namespace
