@@ -129,7 +129,6 @@ int main(int argc, char** argv) {
     reg.gauge("bench.rows_per_second")
         .set(stream_s > 0.0 ? static_cast<double>(stats.rows) / stream_s
                             : 0.0);
-    reg.gauge("bench.predict_rows_per_second").set(stats.rowsPerSecond());
     reg.gauge("bench.power_mae_watts").set(mae);
     reg.gauge("bench.power_mre_percent").set(mre_pct);
 

@@ -275,7 +275,7 @@ bool BitVector::operator==(const BitVector& rhs) const {
   return width_ == rhs.width_ && std::ranges::equal(limbs(), rhs.limbs());
 }
 
-int BitVector::compare(const BitVector& a, const BitVector& b) {
+int BitVector::compareWide(const BitVector& a, const BitVector& b) {
   const auto la = a.limbs();
   const auto lb = b.limbs();
   for (std::size_t i = std::max(la.size(), lb.size()); i-- > 0;) {

@@ -125,7 +125,17 @@ class BitVector {
 
   /// Unsigned magnitude comparison. Widths may differ; values are compared
   /// as unbounded non-negative integers.
-  static int compare(const BitVector& a, const BitVector& b);
+  static int compare(const BitVector& a, const BitVector& b) {
+    if (a.onHeap() || b.onHeap()) return compareWide(a, b);
+    // Both inline: the words above limbCount() are zero, so the two words
+    // compare as they stand, whatever the widths.
+    for (std::size_t i = kInlineLimbs; i-- > 0;) {
+      if (a.inline_[i] != b.inline_[i]) {
+        return a.inline_[i] < b.inline_[i] ? -1 : 1;
+      }
+    }
+    return 0;
+  }
   bool operator<(const BitVector& rhs) const { return compare(*this, rhs) < 0; }
   bool operator<=(const BitVector& rhs) const { return compare(*this, rhs) <= 0; }
   bool operator>(const BitVector& rhs) const { return compare(*this, rhs) > 0; }
@@ -159,6 +169,8 @@ class BitVector {
   void reshape(unsigned width);
   /// Copy assignment where either side is on the heap.
   BitVector& assignWide(const BitVector& other);
+  /// compare() where either side is on the heap.
+  static int compareWide(const BitVector& a, const BitVector& b);
   /// Frees a heap block and leaves the value empty.
   void release() noexcept {
     if (onHeap()) delete[] heap_;
@@ -181,8 +193,8 @@ class BitVector {
 
   unsigned width_ = 0;
   // inline_ while limbCount() <= kInlineLimbs; both of its words are always
-  // initialized, so copies move both. Otherwise heap_ owns limbCount()
-  // limbs.
+  // initialized, so copies move both, and the words above limbCount() are
+  // zero. Otherwise heap_ owns limbCount() limbs.
   union {
     std::uint64_t inline_[kInlineLimbs] = {};
     std::uint64_t* heap_;

@@ -1,20 +1,21 @@
 #include "core/hmm.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace psmgen::core {
-
-namespace {
-bool sameSeq(const PatternSeq& a, const PatternSeq& b) { return a == b; }
-}  // namespace
 
 Hmm::Hmm(const Psm& psm) : n_(psm.stateCount()) {
   a_.assign(n_ * n_, 0.0);
   pi_.assign(n_, 0.0);
-  b_.assign(n_, {});
 
   // A: transition multiplicities, row-normalized.
   for (const auto& t : psm.transitions()) {
+    if (t.from < 0 || static_cast<std::size_t>(t.from) >= n_ || t.to < 0 ||
+        static_cast<std::size_t>(t.to) >= n_) {
+      throw std::invalid_argument(
+          "Hmm: a transition references a state outside the PSM");
+    }
     a_[index(t.from, t.to)] += static_cast<double>(t.count);
   }
   for (std::size_t i = 0; i < n_; ++i) {
@@ -25,26 +26,37 @@ Hmm::Hmm(const Psm& psm) : n_(psm.stateCount()) {
     }
   }
 
-  // Events and B: multiplicity of each assertion within each state.
+  // Events, in order of first appearance, and the event of every
+  // alternative.
+  alt_begin_.reserve(n_ + 1);
   for (const auto& s : psm.states()) {
-    for (std::size_t alt = 0; alt < s.assertion.alts.size(); ++alt) {
-      const PatternSeq& seq = s.assertion.alts[alt];
-      const EventId e = [&]() -> EventId {
-        for (std::size_t k = 0; k < events_.size(); ++k) {
-          if (sameSeq(events_[k], seq)) return static_cast<EventId>(k);
-        }
+    alt_begin_.push_back(alt_events_.size());
+    for (const PatternSeq& seq : s.assertion.alts) {
+      EventId e = eventOf(seq);
+      if (e == kNoEvent) {
+        e = static_cast<EventId>(events_.size());
         events_.push_back(seq);
-        return static_cast<EventId>(events_.size() - 1);
-      }();
-      b_[static_cast<std::size_t>(s.id)][e] +=
+      }
+      alt_events_.push_back(e);
+    }
+  }
+  alt_begin_.push_back(alt_events_.size());
+
+  // B: multiplicity of each assertion within each state, row-normalized.
+  const std::size_t m = events_.size();
+  b_.assign(n_ * m, 0.0);
+  for (const auto& s : psm.states()) {
+    const std::size_t j = static_cast<std::size_t>(s.id);
+    for (std::size_t alt = 0; alt < s.assertion.alts.size(); ++alt) {
+      b_[j * m + static_cast<std::size_t>(eventAt(s.id, alt))] +=
           static_cast<double>(s.assertion.countOf(alt));
     }
   }
-  for (auto& row : b_) {
+  for (std::size_t j = 0; j < n_; ++j) {
     double sum = 0.0;
-    for (const auto& [e, c] : row) sum += c;
+    for (std::size_t e = 0; e < m; ++e) sum += b_[j * m + e];
     if (sum > 0.0) {
-      for (auto& [e, c] : row) c /= sum;
+      for (std::size_t e = 0; e < m; ++e) b_[j * m + e] /= sum;
     }
   }
 
@@ -63,21 +75,22 @@ Hmm::Hmm(const Psm& psm) : n_(psm.stateCount()) {
 
 EventId Hmm::eventOf(const PatternSeq& seq) const {
   for (std::size_t k = 0; k < events_.size(); ++k) {
-    if (sameSeq(events_[k], seq)) return static_cast<EventId>(k);
+    if (events_[k] == seq) return static_cast<EventId>(k);
   }
   return kNoEvent;
 }
 
 double Hmm::b(StateId j, EventId e) const {
-  const auto& row = b_.at(static_cast<std::size_t>(j));
-  const auto it = row.find(e);
-  return it == row.end() ? 0.0 : it->second;
+  if (e < 0 || static_cast<std::size_t>(e) >= events_.size()) return 0.0;
+  return b_.at(static_cast<std::size_t>(j) * events_.size() +
+               static_cast<std::size_t>(e));
 }
 
 Hmm::Filter::Filter(const Hmm& hmm) : hmm_(&hmm) { reset(); }
 
 void Hmm::Filter::reset() {
   belief_ = hmm_->pi_;
+  next_.assign(hmm_->n_, 0.0);
   a_penalized_ = hmm_->a_;
   penalized_.clear();
   pi_overlay_.clear();
@@ -86,30 +99,29 @@ void Hmm::Filter::reset() {
 
 void Hmm::Filter::step(EventId event) {
   const std::size_t n = hmm_->n_;
-  std::vector<double> next(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     double pred = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       pred += belief_[i] * a_penalized_[i * n + j];
     }
-    next[j] = pred * hmm_->b(static_cast<StateId>(j), event);
+    next_[j] = pred * hmm_->b(static_cast<StateId>(j), event);
   }
   double sum = 0.0;
-  for (const double v : next) sum += v;
+  for (const double v : next_) sum += v;
   if (sum > 0.0) {
-    for (auto& v : next) v /= sum;
-    belief_ = std::move(next);
+    for (auto& v : next_) v /= sum;
+    belief_.swap(next_);
   } else {
     // The observation is impossible under the model: fall back to the
     // observation likelihood alone (resynchronization prior).
     double bsum = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      next[j] = hmm_->b(static_cast<StateId>(j), event);
-      bsum += next[j];
+      next_[j] = hmm_->b(static_cast<StateId>(j), event);
+      bsum += next_[j];
     }
     if (bsum > 0.0) {
-      for (auto& v : next) v /= bsum;
-      belief_ = std::move(next);
+      for (auto& v : next_) v /= bsum;
+      belief_.swap(next_);
     }
     // Otherwise keep the previous belief (event unknown everywhere).
   }

@@ -24,7 +24,6 @@
 // wrong state is suppressed in the belief and in the initial-choice
 // prior instead.
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/psm.hpp"
@@ -44,9 +43,14 @@ class Hmm {
   /// Event id of an assertion (pattern sequence); kNoEvent if the
   /// sequence never occurs in the PSM.
   EventId eventOf(const PatternSeq& seq) const;
+  /// Event id of alternative `alt` of state `s`, fixed at construction.
+  EventId eventAt(StateId s, std::size_t alt) const {
+    return alt_events_[alt_begin_[static_cast<std::size_t>(s)] + alt];
+  }
   const PatternSeq& event(EventId id) const { return events_.at(id); }
 
   double a(StateId i, StateId j) const { return a_[index(i, j)]; }
+  /// Emission probability of event `e` in state `j`; 0 for kNoEvent.
   double b(StateId j, EventId e) const;
   double pi(StateId i) const { return pi_.at(static_cast<std::size_t>(i)); }
 
@@ -57,7 +61,8 @@ class Hmm {
     /// Restores belief = pi and clears all penalties.
     void reset();
 
-    /// Forward filtering step given the observed assertion event.
+    /// Forward filtering step given the observed assertion event; it
+    /// allocates nothing.
     void step(EventId event);
 
     /// Collapses the belief to the state the simulator committed to
@@ -98,6 +103,8 @@ class Hmm {
    private:
     const Hmm* hmm_;
     std::vector<double> belief_;
+    /// step()'s next belief, swapped with belief_ when it is adopted.
+    std::vector<double> next_;
     std::vector<double> a_penalized_;
     /// Flat a_penalized_ indices currently forced to 0 (relax() undoes
     /// them from hmm_->a_).
@@ -117,7 +124,11 @@ class Hmm {
   std::vector<double> a_;   ///< row-normalized, row-major
   std::vector<double> pi_;
   std::vector<PatternSeq> events_;
-  std::vector<std::unordered_map<EventId, double>> b_;  ///< per state
+  std::vector<double> b_;  ///< n x eventCount(), row-normalized, row-major
+  /// Per state, its first alternative's index into alt_events_ (n + 1
+  /// offsets), and per alternative, its event id.
+  std::vector<std::size_t> alt_begin_;
+  std::vector<EventId> alt_events_;
   friend class Filter;
 };
 

@@ -1,5 +1,6 @@
 #include "core/proposition.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace psmgen::core {
@@ -75,18 +76,34 @@ Signature PropositionDomain::evalRow(
   return sig;
 }
 
+std::size_t PropositionDomain::slotOf(const Signature& sig) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = sig.hash() & mask;; i = (i + 1) & mask) {
+    const PropId id = slots_[i];
+    if (id == kNoProp || signatures_[static_cast<std::size_t>(id)] == sig) {
+      return i;
+    }
+  }
+}
+
 PropId PropositionDomain::intern(const Signature& sig) {
-  const auto it = index_.find(sig);
-  if (it != index_.end()) return it->second;
-  const PropId id = static_cast<PropId>(signatures_.size());
-  signatures_.push_back(sig);
-  index_.emplace(sig, id);
-  return id;
+  if (2 * (signatures_.size() + 1) > slots_.size()) {
+    // Double the table and re-insert every id, in id order.
+    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), kNoProp);
+    for (std::size_t id = 0; id < signatures_.size(); ++id) {
+      slots_[slotOf(signatures_[id])] = static_cast<PropId>(id);
+    }
+  }
+  PropId& slot = slots_[slotOf(sig)];
+  if (slot == kNoProp) {
+    slot = static_cast<PropId>(signatures_.size());
+    signatures_.push_back(sig);
+  }
+  return slot;
 }
 
 PropId PropositionDomain::find(const Signature& sig) const {
-  const auto it = index_.find(sig);
-  return it == index_.end() ? kNoProp : it->second;
+  return slots_.empty() ? kNoProp : slots_[slotOf(sig)];
 }
 
 PropId PropositionDomain::internRow(const std::vector<common::BitVector>& row) {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -67,10 +66,6 @@ class Signature {
   std::vector<std::uint64_t> words_;
 };
 
-struct SignatureHash {
-  std::size_t operator()(const Signature& s) const { return s.hash(); }
-};
-
 class PropositionDomain {
  public:
   PropositionDomain(trace::VariableSet vars,
@@ -105,13 +100,23 @@ class PropositionDomain {
   /// Exact equality (variables, atoms, and interned signatures in id
   /// order); the round-trip contract of serialize::PsmModel is stated in
   /// terms of this comparison.
-  bool operator==(const PropositionDomain&) const = default;
+  bool operator==(const PropositionDomain& other) const {
+    return vars_ == other.vars_ && atoms_ == other.atoms_ &&
+           signatures_ == other.signatures_;
+  }
 
  private:
+  /// The slot of `sig` in slots_: the one holding its id, or else the
+  /// empty slot where it belongs. slots_ must not be empty.
+  std::size_t slotOf(const Signature& sig) const;
+
   trace::VariableSet vars_;
   std::vector<AtomicProposition> atoms_;
   std::vector<Signature> signatures_;
-  std::unordered_map<Signature, PropId, SignatureHash> index_;
+  /// The index of signatures_ that intern() and find() share: open
+  /// addressing with linear probing over a power-of-two table of ids,
+  /// kNoProp marking an empty slot, never more than half full.
+  std::vector<PropId> slots_;
 };
 
 /// A proposition trace (paper Def. 2): the proposition holding at each

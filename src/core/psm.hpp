@@ -125,11 +125,11 @@ struct PowerState {
   /// How many training traces start in this state (HMM pi numerator).
   std::size_t initial_count = 0;
 
-  double output(unsigned hd_inputs, unsigned hd_interface) const {
-    if (!regression) return power.mean;
-    const unsigned hd =
-        regression_scope == HammingScope::Inputs ? hd_inputs : hd_interface;
-    return regression->predict(static_cast<double>(hd));
+  /// omega(s). `hd` is the Hamming distance between consecutive rows over
+  /// the variables of `regression_scope`; a constant-mu state ignores it.
+  double output(unsigned hd) const {
+    return regression ? regression->predict(static_cast<double>(hd))
+                      : power.mean;
   }
 
   bool operator==(const PowerState&) const = default;

@@ -1,8 +1,10 @@
 #include "core/psm_simulator.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 
@@ -24,15 +26,24 @@ PsmSimulator::PsmSimulator(const Psm& psm, const PropositionDomain& domain,
   }
   if (default_state_ == kNoState) default_state_ = 0;
   for (const auto& v : domain.variables().all()) {
+    widths_.push_back(v.width);
     is_input_.push_back(v.kind == trace::VarKind::Input ? 1 : 0);
   }
+  // Hmm's constructor has checked every transition's endpoints.
+  successors_.resize(psm.stateCount());
+  for (const auto& s : psm.states()) all_states_.push_back(s.id);
   for (const auto& t : psm.transitions()) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.from)) << 32) |
-        static_cast<std::uint32_t>(t.enabling);
-    auto& targets = adjacency_[key];
-    if (std::find(targets.begin(), targets.end(), t.to) == targets.end()) {
-      targets.push_back(t.to);
+    auto& lists = successors_[static_cast<std::size_t>(t.from)];
+    auto it = std::find_if(lists.begin(), lists.end(), [&](const auto& l) {
+      return l.enabling == t.enabling;
+    });
+    if (it == lists.end()) {
+      lists.push_back({t.enabling, {}});
+      it = std::prev(lists.end());
+    }
+    if (std::find(it->targets.begin(), it->targets.end(), t.to) ==
+        it->targets.end()) {
+      it->targets.push_back(t.to);
     }
   }
 }
@@ -40,26 +51,60 @@ PsmSimulator::PsmSimulator(const Psm& psm, const PropositionDomain& domain,
 const std::vector<StateId>& PsmSimulator::successors(StateId from,
                                                      PropId enabling) const {
   static const std::vector<StateId> kEmpty;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-      static_cast<std::uint32_t>(enabling);
-  const auto it = adjacency_.find(key);
-  return it == adjacency_.end() ? kEmpty : it->second;
+  for (const Successors& l : successors_[static_cast<std::size_t>(from)]) {
+    if (l.enabling == enabling) return l.targets;
+  }
+  return kEmpty;
 }
 
 PsmSimulator::Session::Session(const PsmSimulator& sim)
-    : sim_(&sim), filter_(sim.hmm_) {}
-
-double PsmSimulator::Session::outputPower(unsigned hd_in,
-                                          unsigned hd_io) const {
-  const StateId s = cur_ != kNoState ? cur_ : sim_->default_state_;
-  return sim_->psm_->state(s).output(hd_in, hd_io);
+    : sim_(&sim), filter_(sim.hmm_) {
+  checkpoints_.reserve(kMaxCheckpoints);
+  // Every checkpoint's buffer, plus the one being replayed.
+  spare_buffers_.reserve(kMaxCheckpoints + 1);
 }
 
-std::vector<PsmSimulator::Session::Config>
-PsmSimulator::Session::matchingConfigs(StateId s, PropId obs,
-                                       bool entry_only) const {
-  std::vector<Config> out;
+void PsmSimulator::Session::checkRow(
+    const std::vector<common::BitVector>& row) const {
+  const std::vector<unsigned>& widths = sim_->widths_;
+  if (row.size() != widths.size()) {
+    throw std::invalid_argument(
+        "PsmSimulator: a row of " + std::to_string(row.size()) +
+        " values for a model of " + std::to_string(widths.size()) +
+        " variables");
+  }
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    if (row[k].width() != widths[k]) {
+      throw std::invalid_argument(
+          "PsmSimulator: variable '" + sim_->domain_->variables()[k].name +
+          "' is declared " + std::to_string(widths[k]) +
+          " bits wide, but the row's value has " +
+          std::to_string(row[k].width()));
+    }
+  }
+}
+
+double PsmSimulator::Session::outputPower(
+    const std::vector<common::BitVector>& row) const {
+  const PowerState& state =
+      sim_->psm_->state(cur_ != kNoState ? cur_ : sim_->default_state_);
+  // Only a regression reads a Hamming distance: the one of its scope, to
+  // the previous row (none before the first).
+  unsigned hd = 0;
+  if (state.regression && !prev_inputs_.empty()) {
+    const bool inputs_only = state.regression_scope == HammingScope::Inputs;
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      if (inputs_only && !sim_->is_input_[k]) continue;
+      hd += common::BitVector::hammingDistance(row[k], prev_inputs_[k]);
+    }
+  }
+  return state.output(hd);
+}
+
+bool PsmSimulator::Session::matchConfigs(StateId s, PropId obs,
+                                         bool entry_only,
+                                         std::vector<Config>& out) const {
+  out.clear();
   const auto& alts = sim_->psm_->state(s).assertion.alts;
   for (std::size_t a = 0; a < alts.size(); ++a) {
     const std::size_t limit = entry_only ? 1 : alts[a].size();
@@ -70,7 +115,7 @@ PsmSimulator::Session::matchingConfigs(StateId s, PropId obs,
       }
     }
   }
-  return out;
+  return !out.empty();
 }
 
 /// Ranks a candidate state for a non-deterministic choice. With the HMM:
@@ -86,33 +131,48 @@ double PsmSimulator::Session::choiceScore(
   if (!sim_->options_.use_hmm) return static_cast<double>(state.power.n);
   double b_best = 0.0;
   for (const Config& c : configs) {
-    const EventId e = sim_->hmm_.eventOf(state.assertion.alts[c.alt]);
-    b_best = std::max(b_best, sim_->hmm_.b(s, e));
+    b_best = std::max(b_best, sim_->hmm_.b(s, sim_->hmm_.eventAt(s, c.alt)));
   }
   return filter_.predictiveScore(s, kNoEvent) * b_best +
          1e-9 * static_cast<double>(state.power.n);
 }
 
-bool PsmSimulator::Session::enterState(StateId s, PropId obs, bool entry_only,
+template <typename Admit>
+StateId PsmSimulator::Session::pickBest(const std::vector<StateId>& candidates,
+                                        PropId obs, bool entry_only,
+                                        Admit admit, std::size_t& viable) {
+  StateId best = kNoState;
+  double best_score = -1.0;
+  viable = 0;
+  for (const StateId c : candidates) {
+    if (!admit(c) || !matchConfigs(c, obs, entry_only, match_)) continue;
+    ++viable;
+    // A lone candidate wins whatever its score.
+    const double score = candidates.size() > 1 ? choiceScore(c, match_) : 0.0;
+    if (score > best_score) {
+      best_score = score;
+      best = c;
+      best_match_.swap(match_);
+    }
+  }
+  return best;
+}
+
+void PsmSimulator::Session::enterState(StateId s, std::vector<Config>& configs,
                                        bool was_choice, PropId enabling) {
-  std::vector<Config> configs = matchingConfigs(s, obs, entry_only);
-  if (configs.empty()) return false;
   revert_from_ = cur_;
   cur_ = s;
   last_valid_ = s;
   entry_enabling_ = enabling;
-  configs_ = std::move(configs);
+  configs_.swap(configs);
   lost_ = false;
   entry_was_choice_ = was_choice;
   if (was_choice) ++row_.predictions;
   if (sim_->options_.use_hmm) {
     // Belief update with the (first) matched assertion as observation.
-    const EventId e =
-        sim_->hmm_.eventOf(sim_->psm_->state(s).assertion.alts[configs_[0].alt]);
-    filter_.step(e);
+    filter_.step(sim_->hmm_.eventAt(s, configs_[0].alt));
     filter_.commit(s);
   }
-  return true;
 }
 
 void PsmSimulator::Session::tryRecognize(PropId obs) {
@@ -120,20 +180,10 @@ void PsmSimulator::Session::tryRecognize(PropId obs) {
   // Jump to the state that best explains the observation, anywhere in its
   // assertion set (paper: stay in the last valid state until a known
   // behaviour is finally recognised).
-  StateId best = kNoState;
-  std::vector<Config> best_configs;
-  double best_score = -1.0;
-  for (const auto& s : sim_->psm_->states()) {
-    std::vector<Config> configs =
-        matchingConfigs(s.id, obs, /*entry_only=*/false);
-    if (configs.empty()) continue;
-    const double score = choiceScore(s.id, configs);
-    if (score > best_score) {
-      best_score = score;
-      best = s.id;
-      best_configs = std::move(configs);
-    }
-  }
+  std::size_t viable = 0;
+  const StateId best = pickBest(
+      sim_->all_states_, obs, /*entry_only=*/false,
+      [](StateId) { return true; }, viable);
   if (best != kNoState) {
     // Recognition is not a transition: the entry carries no enabling
     // proposition, so a later violation in the recognized state can only
@@ -142,7 +192,7 @@ void PsmSimulator::Session::tryRecognize(PropId obs) {
     // the model does not cover, and its failure is more of the same
     // unexpected behaviour, not a wrong successor choice (WSP measures
     // the HMM at non-deterministic transitions only).
-    enterState(best, obs, /*entry_only=*/false, /*was_choice=*/false,
+    enterState(best, best_match_, /*was_choice=*/false,
                /*enabling=*/kNoProp);
   }
 }
@@ -175,34 +225,18 @@ void PsmSimulator::Session::handleViolation(PropId obs) {
   // Follow a different path from the last valid state: another target of
   // the same enabling function that accepts the current observation.
   if (from != kNoState && enabling != kNoProp) {
-    std::vector<StateId> viable;
-    std::vector<std::vector<Config>> viable_configs;
-    for (const StateId c : sim_->successors(from, enabling)) {
-      if (c == wrong_state) continue;
-      if (sim_->options_.use_hmm &&
-          filter_.predictiveScore(c, kNoEvent) <= 0.0) {
-        continue;
-      }
-      std::vector<Config> configs =
-          matchingConfigs(c, obs, /*entry_only=*/false);
-      if (configs.empty()) continue;
-      viable.push_back(c);
-      viable_configs.push_back(std::move(configs));
-    }
-    if (!viable.empty()) {
-      std::size_t best = 0;
-      double best_score = -1.0;
-      for (std::size_t i = 0; i < viable.size(); ++i) {
-        const double score = choiceScore(viable[i], viable_configs[i]);
-        if (score > best_score) {
-          best_score = score;
-          best = i;
-        }
-      }
-      if (enterState(viable[best], obs, /*entry_only=*/false,
-                     /*was_choice=*/viable.size() > 1, enabling)) {
-        return;
-      }
+    std::size_t viable = 0;
+    const StateId next = pickBest(
+        sim_->successors(from, enabling), obs, /*entry_only=*/false,
+        [&](StateId c) {
+          return c != wrong_state &&
+                 (!sim_->options_.use_hmm ||
+                  filter_.predictiveScore(c, kNoEvent) > 0.0);
+        },
+        viable);
+    if (next != kNoState) {
+      enterState(next, best_match_, /*was_choice=*/viable > 1, enabling);
+      return;
     }
   }
   // No alternative path: remain in the last valid state and wait for a
@@ -219,19 +253,31 @@ void PsmSimulator::Session::bufferObs(std::vector<Run>& buffer, PropId obs) {
   }
 }
 
-double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
-  // Input and interface Hamming distances for the regression output
-  // functions.
-  unsigned hd_in = 0;
-  unsigned hd_io = 0;
-  if (!prev_inputs_.empty()) {
-    for (std::size_t k = 0; k < row.size(); ++k) {
-      const unsigned d = common::BitVector::hammingDistance(row[k], prev_inputs_[k]);
-      hd_io += d;
-      if (sim_->is_input_[k]) hd_in += d;
-    }
+std::vector<PsmSimulator::Session::Run> PsmSimulator::Session::takeBuffer() {
+  if (spare_buffers_.empty()) {
+    // A buffer never outgrows the bound: step() drops a checkpoint as
+    // soon as it holds one run more.
+    std::vector<Run> buffer;
+    buffer.reserve(kMaxBacktrackRuns + 1);
+    return buffer;
   }
-  prev_inputs_ = row;
+  std::vector<Run> buffer = std::move(spare_buffers_.back());
+  spare_buffers_.pop_back();
+  buffer.clear();
+  return buffer;
+}
+
+void PsmSimulator::Session::recycle(std::vector<Run>&& buffer) {
+  spare_buffers_.push_back(std::move(buffer));
+}
+
+void PsmSimulator::Session::dropOldestCheckpoint() {
+  recycle(std::move(checkpoints_.front().buffer));
+  checkpoints_.erase(checkpoints_.begin());
+}
+
+double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
+  checkRow(row);
   const bool was_lost = lost_;
   row_ = RowVerdict{};
 
@@ -244,21 +290,19 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
       // Choose the starting state among all initial states (Sec. V).
       std::vector<StateId> candidates;
       for (const StateId s : sim_->psm_->initialStates()) {
-        if (!matchingConfigs(s, obs, /*entry_only=*/true).empty()) {
+        if (matchConfigs(s, obs, /*entry_only=*/true, match_)) {
           candidates.push_back(s);
         }
       }
-      StateId pick = kNoState;
-      if (!candidates.empty()) {
-        pick = sim_->options_.use_hmm
-                   ? filter_.bestInitial(candidates, kNoEvent)
-                   : candidates.front();
-      }
-      if (pick == kNoState ||
-          !enterState(pick, obs, /*entry_only=*/true,
-                      /*was_choice=*/candidates.size() > 1,
-                      /*enabling=*/kNoProp)) {
+      if (candidates.empty()) {
         tryRecognize(obs);
+      } else {
+        const StateId pick = sim_->options_.use_hmm
+                                 ? filter_.bestInitial(candidates, kNoEvent)
+                                 : candidates.front();
+        matchConfigs(pick, obs, /*entry_only=*/true, best_match_);
+        enterState(pick, best_match_, /*was_choice=*/candidates.size() > 1,
+                   /*enabling=*/kNoProp);
       }
     }
   } else if (lost_) {
@@ -267,7 +311,7 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
     for (auto& chk : checkpoints_) bufferObs(chk.buffer, obs);
     while (!checkpoints_.empty() &&
            checkpoints_.front().buffer.size() > kMaxBacktrackRuns) {
-      checkpoints_.erase(checkpoints_.begin());
+      dropOldestCheckpoint();
     }
     if (advanceCore(obs, /*allow_checkpoint=*/true) == Advance::Violation) {
       if (!tryBacktrack()) handleViolation(obs);
@@ -289,7 +333,9 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
     ever_synced_ = true;
   }
   counts_.add(row_);
-  return outputPower(hd_in, hd_io);
+  const double estimate = outputPower(row);
+  prev_inputs_ = row;
+  return estimate;
 }
 
 PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
@@ -325,10 +371,8 @@ PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
     // observations through it (bounded NFA backtracking).
     if (allow_checkpoint && exit_requested &&
         !sim_->successors(cur_, obs).empty()) {
-      if (checkpoints_.size() >= kMaxCheckpoints) {
-        checkpoints_.erase(checkpoints_.begin());
-      }
-      checkpoints_.push_back({cur_, obs, {}});
+      if (checkpoints_.size() >= kMaxCheckpoints) dropOldestCheckpoint();
+      checkpoints_.push_back({cur_, obs, takeBuffer()});
     }
     configs_.swap(survivors_);
     return Advance::Stayed;
@@ -348,31 +392,13 @@ PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
   if (!exit_requested) return Advance::Violation;
 
   // Leave through the transition enabled by the observed proposition.
-  const std::vector<StateId>& candidates = sim_->successors(cur_, obs);
-  std::vector<StateId> viable;
-  std::vector<std::vector<Config>> viable_configs;
-  for (const StateId c : candidates) {
-    std::vector<Config> configs = matchingConfigs(c, obs, /*entry_only=*/true);
-    if (configs.empty()) continue;
-    viable.push_back(c);
-    viable_configs.push_back(std::move(configs));
-  }
-  if (!viable.empty()) {
-    std::size_t best = 0;
-    double best_score = -1.0;
-    for (std::size_t i = 0; i < viable.size(); ++i) {
-      const double score = choiceScore(viable[i], viable_configs[i]);
-      if (score > best_score) {
-        best_score = score;
-        best = i;
-      }
-    }
-    if (enterState(viable[best], obs, /*entry_only=*/true,
-                   /*was_choice=*/viable.size() > 1, /*enabling=*/obs)) {
-      return Advance::Exited;
-    }
-  }
-  return Advance::Violation;
+  std::size_t viable = 0;
+  const StateId next = pickBest(
+      sim_->successors(cur_, obs), obs, /*entry_only=*/true,
+      [](StateId) { return true; }, viable);
+  if (next == kNoState) return Advance::Violation;
+  enterState(next, best_match_, /*was_choice=*/viable > 1, /*enabling=*/obs);
+  return Advance::Exited;
 }
 
 bool PsmSimulator::Session::tryBacktrack() {
@@ -392,14 +418,13 @@ bool PsmSimulator::Session::tryCheckpoint() {
   const std::vector<Run>& buffer = chk.buffer;
 
   // Take the forgone exit at the checkpointed instant...
-  const std::vector<StateId>& candidates = sim_->successors(from, enabling);
-  std::vector<StateId> viable;
-  for (const StateId c : candidates) {
-    if (!matchingConfigs(c, enabling, /*entry_only=*/true).empty()) {
+  std::vector<StateId>& viable = viable_;
+  viable.clear();
+  for (const StateId c : sim_->successors(from, enabling)) {
+    if (matchConfigs(c, enabling, /*entry_only=*/true, match_)) {
       viable.push_back(c);
     }
   }
-  if (viable.empty()) return false;
   // Order candidates by HMM preference but try them all: the revision is a
   // deterministic reinterpretation of already-seen behaviour, so whichever
   // candidate replays the buffered observations is the right one.
@@ -412,13 +437,14 @@ bool PsmSimulator::Session::tryCheckpoint() {
       }
     }
   }
+  bool ok = false;
+  // The replay below never reaches another tryCheckpoint(), so `viable`
+  // stays as it is.
   for (const StateId pick : viable) {
     cur_ = from;
-    if (!enterState(pick, enabling, /*entry_only=*/true,
-                    /*was_choice=*/false, enabling)) {
-      continue;
-    }
-    bool ok = true;
+    matchConfigs(pick, enabling, /*entry_only=*/true, best_match_);
+    enterState(pick, best_match_, /*was_choice=*/false, enabling);
+    ok = true;
     // Conflicts during the replay may record checkpoints of their own;
     // those only see the remaining buffered observations (older
     // checkpoints already received them through step()).
@@ -435,11 +461,15 @@ bool PsmSimulator::Session::tryCheckpoint() {
       }
       if (!ok) break;
     }
-    if (ok) return true;
+    if (ok) break;
     // Drop checkpoints recorded under the failed interpretation.
-    checkpoints_.resize(std::min(checkpoints_.size(), baseline));
+    while (checkpoints_.size() > baseline) {
+      recycle(std::move(checkpoints_.back().buffer));
+      checkpoints_.pop_back();
+    }
   }
-  return false;
+  recycle(std::move(chk.buffer));
+  return ok;
 }
 
 SimResult PsmSimulator::simulate(const trace::FunctionalTrace& trace) const {

@@ -56,7 +56,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/hmm.hpp"
@@ -161,7 +160,10 @@ class PsmSimulator {
    public:
     /// Consumes the next row (one value per trace variable, inputs first)
     /// and returns the power estimate for that instant; lastRow() holds
-    /// the row's verdict afterwards.
+    /// the row's verdict afterwards. Throws std::invalid_argument, with
+    /// the session unchanged, when the row's arity or a value's width
+    /// differs from the variable set's declaration. Once warm, a step
+    /// allocates nothing.
     double step(const std::vector<common::BitVector>& row);
 
     /// The verdict of the latest step().
@@ -190,17 +192,31 @@ class PsmSimulator {
     /// than the cap — the root cause of the RAM WSP blow-up.)
     static constexpr std::size_t kMaxBacktrackRuns = 64;
 
-    double outputPower(unsigned hd_in, unsigned hd_io) const;
-    bool enterState(StateId s, PropId obs, bool entry_only, bool was_choice,
+    /// Throws std::invalid_argument unless `row` holds one value of the
+    /// declared width per trace variable.
+    void checkRow(const std::vector<common::BitVector>& row) const;
+    double outputPower(const std::vector<common::BitVector>& row) const;
+    /// Makes `s` the current state, with `configs` (its matching
+    /// configurations, swapped out) as its live alternatives.
+    void enterState(StateId s, std::vector<Config>& configs, bool was_choice,
                     PropId enabling);
     Advance advanceCore(PropId obs, bool allow_checkpoint);
     bool tryBacktrack();
     bool tryCheckpoint();
     void handleViolation(PropId obs);
     void tryRecognize(PropId obs);
-    std::vector<Config> matchingConfigs(StateId s, PropId obs,
-                                        bool entry_only) const;
+    /// Writes into `out` the configurations of `s` that accept `obs`;
+    /// returns whether there are any.
+    bool matchConfigs(StateId s, PropId obs, bool entry_only,
+                      std::vector<Config>& out) const;
     double choiceScore(StateId s, const std::vector<Config>& configs) const;
+    /// Among the `candidates` that `admit` accepts and that match `obs`,
+    /// the one choiceScore() ranks first (the earliest on a tie), with its
+    /// configurations in best_match_; kNoState if none matches. `viable`
+    /// counts the matching candidates.
+    template <typename Admit>
+    StateId pickBest(const std::vector<StateId>& candidates, PropId obs,
+                     bool entry_only, Admit admit, std::size_t& viable);
 
     const PsmSimulator* sim_;
     Hmm::Filter filter_;
@@ -228,14 +244,24 @@ class PsmSimulator {
       std::vector<Run> buffer;
     };
     static void bufferObs(std::vector<Run>& buffer, PropId obs);
+    /// Checkpoint buffers come from, and return to, spare_buffers_.
+    std::vector<Run> takeBuffer();
+    void recycle(std::vector<Run>&& buffer);
+    void dropOldestCheckpoint();
     static constexpr std::size_t kMaxCheckpoints = 4;
     std::vector<Checkpoint> checkpoints_;
+    std::vector<std::vector<Run>> spare_buffers_;
+    /// The previous row, for the Hamming distance of a regression output.
     std::vector<common::BitVector> prev_inputs_;
-    /// Per-row scratch, reused so that a step() that stays in its state
-    /// allocates nothing: the row's signature and the alternatives that
-    /// survive advanceCore().
+    /// Per-row scratch, reused so that no step() allocates once warm: the
+    /// row's signature, the alternatives that survive advanceCore(), the
+    /// configurations of the candidate being matched and of the best one
+    /// so far, and the viable candidates of a checkpoint replay.
     Signature row_sig_;
     std::vector<Config> survivors_;
+    std::vector<Config> match_;
+    std::vector<Config> best_match_;
+    std::vector<StateId> viable_;
     /// Some row has ended synced (a later recovery is a resync).
     bool ever_synced_ = false;
     RowVerdict row_;
@@ -252,6 +278,8 @@ class PsmSimulator {
   const PropositionDomain& domain() const { return *domain_; }
 
  private:
+  /// The distinct targets of `from`'s transitions on `enabling`, in
+  /// order of first appearance.
   const std::vector<StateId>& successors(StateId from, PropId enabling) const;
 
   const Psm* psm_;
@@ -260,11 +288,20 @@ class PsmSimulator {
   Hmm hmm_;
   /// Fallback state while desynchronized before any state was entered.
   StateId default_state_ = kNoState;
-  /// Per trace-variable: is it a primary input (for the input-HD scope).
+  /// Per trace variable: its declared width, and whether it is a primary
+  /// input (for the input-HD scope).
+  std::vector<unsigned> widths_;
   std::vector<char> is_input_;
-  /// (state, enabling proposition) -> unique successor states; built once
-  /// so the per-cycle hot path avoids scanning the transition list.
-  std::unordered_map<std::uint64_t, std::vector<StateId>> adjacency_;
+  /// Every state id, ascending: the candidates of a recognition.
+  std::vector<StateId> all_states_;
+  /// Per state, one successor list per enabling proposition of its
+  /// transitions; built once so the per-cycle hot path neither scans the
+  /// transition list nor hashes.
+  struct Successors {
+    PropId enabling = kNoProp;
+    std::vector<StateId> targets;
+  };
+  std::vector<std::vector<Successors>> successors_;
 };
 
 }  // namespace psmgen::core

@@ -25,6 +25,11 @@ PredictorCounters& counters() {
   static PredictorCounters c;
   return c;
 }
+
+double secondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 }  // namespace
 
 OnlinePredictor::OnlinePredictor(const core::Psm& psm,
@@ -46,11 +51,7 @@ void OnlinePredictor::reset() {
 
 double OnlinePredictor::predictRow(const std::vector<common::BitVector>& row) {
   using core::RowVerdict;
-  const auto t0 = std::chrono::steady_clock::now();
   const double estimate = session_->step(row);
-  stats_.seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   // The stats mirror the session's sums; the registry counters, the
   // resync histogram and the warn line take this row's verdict.
   static_cast<core::PredictionCounts&>(stats_) = session_->counts();
@@ -88,6 +89,7 @@ PredictorStats OnlinePredictor::predictStream(
     const std::function<void(std::size_t, double)>& sink) {
   reset();
   obs::Span span("predict.stream", "predict");
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<common::BitVector> row;
   std::size_t index = 0;
   while (reader.next(row)) {
@@ -95,6 +97,7 @@ PredictorStats OnlinePredictor::predictStream(
     if (sink) sink(index, estimate);
     ++index;
   }
+  stats_.seconds = secondsSince(t0);
   obs::metrics().gauge("predict.wsp_percent").set(stats_.wspPercent());
   obs::metrics().gauge("predict.lost_percent").set(stats_.lostPercent());
   obs::metrics()
@@ -116,11 +119,13 @@ PredictorStats OnlinePredictor::predictStream(
 std::vector<double> OnlinePredictor::predictTrace(
     const trace::FunctionalTrace& trace) {
   reset();
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<double> out;
   out.reserve(trace.length());
   for (std::size_t t = 0; t < trace.length(); ++t) {
     out.push_back(predictRow(trace.step(t)));
   }
+  stats_.seconds = secondsSince(t0);
   return out;
 }
 

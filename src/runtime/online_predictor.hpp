@@ -8,14 +8,14 @@
 // choice resolution, revert-and-penalize resynchronization), driven one
 // row at a time so memory stays constant however long the stream runs.
 //
-// Per-stream counters (the session's PredictionCounts plus wall time
-// inside the predictor) support the production monitoring story; each
+// Per-stream counters (the session's PredictionCounts plus the wall time
+// of the stream loop) support the production monitoring story; each
 // row's verdict (lastRow()) feeds the registry counters here and, in the
-// caller, a QualityMonitor or the serve wire flags. predictStream(), the
-// only stream loop, couples the predictor to a StreamingTraceReader for
-// the bounded-memory batch path. Per-row estimates are identical to
-// PsmSimulator::simulate on the same rows — streaming changes memory
-// behaviour, never results.
+// caller, a QualityMonitor or the serve wire flags. No clock is read per
+// row. predictStream(), the only stream loop, couples the predictor to a
+// StreamingTraceReader for the bounded-memory batch path. Per-row
+// estimates are identical to PsmSimulator::simulate on the same rows —
+// streaming changes memory behaviour, never results.
 
 #include <cstddef>
 #include <functional>
@@ -31,8 +31,11 @@ namespace psmgen::runtime {
 
 /// Counters of one prediction stream (since construction or reset()):
 /// the session's counts (core/psm_simulator.hpp "Row verdicts") plus the
-/// wall time spent inside predictRow().
+/// wall time of the stream loop.
 struct PredictorStats : core::PredictionCounts {
+  /// Wall time of the latest predictStream() or predictTrace() loop; for
+  /// predictStream() that includes the reader and the sink. predictRow()
+  /// on its own leaves it unchanged.
   double seconds = 0.0;
 
   double rowsPerSecond() const {

@@ -123,6 +123,20 @@ class Decoder {
     return v;
   }
 
+  /// A u32 element count, bounded by how many elements of at least
+  /// `min_bytes` each the rest of the payload can hold: a corrupted count
+  /// fails here, before anything is reserved for it.
+  std::uint32_t count(const char* what, std::size_t min_bytes) {
+    const std::uint32_t n = u32(what);
+    const std::size_t left = data_.size() - pos_;
+    if (n > left / min_bytes) {
+      bad(what, std::string(what) + " " + std::to_string(n) +
+                    " cannot fit in the " + std::to_string(left) +
+                    " payload bytes left");
+    }
+    return n;
+  }
+
   bool done() const { return pos_ == data_.size(); }
   std::size_t offset() const { return pos_; }
 
@@ -147,6 +161,13 @@ class Decoder {
 };
 
 // --- sections ------------------------------------------------------------
+
+// The fewest bytes that encode one element of a counted list.
+constexpr std::size_t kAtomMinBytes = 4 + 1 + 4 + 4;  // lhs, op, rhs, width
+constexpr std::size_t kAltMinBytes = 4;               // its pattern count
+constexpr std::size_t kPatternBytes = 4 + 4 + 1;      // p, q, kind
+constexpr std::size_t kMultiplicityBytes = 8;
+constexpr std::size_t kIntervalBytes = 8 + 8 + 4;  // start, stop, trace id
 
 void encodePattern(Encoder& enc, const core::Pattern& p) {
   enc.i32(p.p);
@@ -224,7 +245,7 @@ core::PropositionDomain decodeDomain(Decoder& dec) {
       dec.bad("variable", e.what());
     }
   }
-  const std::uint32_t atom_count = dec.u32("atom count");
+  const std::uint32_t atom_count = dec.count("atom count", kAtomMinBytes);
   std::vector<core::AtomicProposition> atoms;
   atoms.reserve(atom_count);
   for (std::uint32_t i = 0; i < atom_count; ++i) {
@@ -332,10 +353,11 @@ core::Psm decodePsm(Decoder& dec, std::size_t prop_count) {
                               std::to_string(id) + ")");
     }
     core::PowerState s;
-    const std::uint32_t alt_count = dec.u32("assertion alternative count");
+    const std::uint32_t alt_count =
+        dec.count("assertion alternative count", kAltMinBytes);
     s.assertion.alts.reserve(alt_count);
     for (std::uint32_t a = 0; a < alt_count; ++a) {
-      const std::uint32_t pat_count = dec.u32("pattern count");
+      const std::uint32_t pat_count = dec.count("pattern count", kPatternBytes);
       core::PatternSeq seq;
       seq.reserve(pat_count);
       for (std::uint32_t k = 0; k < pat_count; ++k) {
@@ -343,7 +365,8 @@ core::Psm decodePsm(Decoder& dec, std::size_t prop_count) {
       }
       s.assertion.alts.push_back(std::move(seq));
     }
-    const std::uint32_t counts_size = dec.u32("alternative multiplicities");
+    const std::uint32_t counts_size =
+        dec.count("alternative multiplicities", kMultiplicityBytes);
     if (counts_size != 0 && counts_size != alt_count) {
       dec.bad("alternative multiplicities",
               "state " + std::to_string(i) + " has " +
@@ -359,7 +382,8 @@ core::Psm decodePsm(Decoder& dec, std::size_t prop_count) {
     s.power.n = dec.u64("power sample count");
     s.power.min_mean = dec.f64("power min mean");
     s.power.max_mean = dec.f64("power max mean");
-    const std::uint32_t interval_count = dec.u32("interval count");
+    const std::uint32_t interval_count =
+        dec.count("interval count", kIntervalBytes);
     s.intervals.reserve(interval_count);
     for (std::uint32_t k = 0; k < interval_count; ++k) {
       core::Interval iv;
@@ -479,7 +503,8 @@ void decodeAndVerifyHmm(Decoder& dec, const core::Hmm& derived,
              "hmm event count does not match the PSM's assertion set");
   }
   for (std::uint32_t e = 0; e < event_count; ++e) {
-    const std::uint32_t pat_count = dec.u32("hmm event length");
+    const std::uint32_t pat_count =
+        dec.count("hmm event length", kPatternBytes);
     core::PatternSeq seq;
     seq.reserve(pat_count);
     for (std::uint32_t k = 0; k < pat_count; ++k) {

@@ -1,4 +1,5 @@
-// Allocation counts of BitVector storage and of the batch CSV loader.
+// Allocation counts of BitVector storage, of the batch CSV loader and of
+// the predictor's per-row step.
 //
 // This executable replaces the global operator new and delete, array
 // forms included, with counting versions that forward to std::malloc and
@@ -19,6 +20,7 @@
 
 #include "common/bitvector.hpp"
 #include "common/rng.hpp"
+#include "core/psm_simulator.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
@@ -122,6 +124,70 @@ TEST(Allocations, BatchLoaderMakesOneAllocationPerInlineRow) {
     EXPECT_LE(n, header + rows + 2 * std::bit_width(rows))
         << rows << " rows, " << header << " for the header alone";
   }
+}
+
+/// One 2-bit input "m" with one Eq atom per value: PropId k <=> m == k.
+core::PropositionDomain modeDomain() {
+  trace::VariableSet vars;
+  vars.add("m", 2, trace::VarKind::Input);
+  std::vector<core::AtomicProposition> atoms(4);
+  for (unsigned k = 0; k < 4; ++k) {
+    atoms[k].lhs = 0;
+    atoms[k].rhs_const = BitVector(2, k);
+  }
+  core::PropositionDomain domain(vars, std::move(atoms));
+  for (unsigned k = 0; k < 4; ++k) domain.internRow({BitVector(2, k)});
+  return domain;
+}
+
+TEST(Allocations, SessionStepsWithoutAllocatingOnceWarm) {
+  // State 0 reads a p0 run two ways: leave on its first row (alternative
+  // 0), or absorb it and leave on p2 (alternative 1). The session keeps
+  // the second and checkpoints the exit of the first; p3 then kills the
+  // second, and the replay takes the checkpointed exit through state 1
+  // into state 2, which p1 leaves for state 0 again. So each cycle stays,
+  // exits, and takes a checkpointed exit.
+  const core::PropositionDomain domain = modeDomain();
+  core::Psm psm;
+  core::PowerState s0;
+  s0.assertion.alts = {{{1, 0, true}}, {{1, 0, true}, {0, 2, true}}};
+  s0.power = core::PowerAttr::single(2.0, 0.1, 10);
+  s0.initial_count = 1;
+  core::PowerState s1;
+  s1.assertion.alts = {{{0, 3, true}}};
+  s1.power = core::PowerAttr::single(1.0, 0.1, 10);
+  core::PowerState s2;
+  s2.assertion.alts = {{{3, 1, true}}};
+  s2.power = core::PowerAttr::single(7.0, 0.1, 10);
+  s2.regression = stats::LinearFit{7.0, 0.5, 0.9, 0.8, 10};
+  psm.addState(std::move(s0));
+  psm.addState(std::move(s1));
+  psm.addState(std::move(s2));
+  psm.addInitial(0);
+  psm.addTransition({0, 1, 0, 1});
+  psm.addTransition({1, 2, 3, 1});
+  psm.addTransition({2, 0, 1, 1});
+  const core::PsmSimulator sim(psm, domain);
+  auto session = sim.startSession();
+
+  std::vector<std::vector<BitVector>> rows;
+  for (unsigned m = 0; m < 4; ++m) rows.push_back({BitVector(2, m)});
+  bool replayed = true;
+  const auto cycle = [&] {
+    for (const unsigned m : {1, 1, 1, 0, 0, 0, 0, 0}) session.step(rows[m]);
+    session.step(rows[3]);
+    replayed = replayed && session.currentState() == 2;
+    for (const unsigned m : {3, 3, 3}) session.step(rows[m]);
+  };
+  for (int warm = 0; warm < 3; ++warm) cycle();
+  EXPECT_EQ(allocationsDuring([&] {
+              for (int n = 0; n < 20; ++n) cycle();
+            }),
+            0u);
+  EXPECT_TRUE(replayed);
+  EXPECT_EQ(session.counts().rows, 23u * 12u);
+  EXPECT_EQ(session.counts().unexpected_behaviours, 0u);
+  EXPECT_EQ(session.counts().lost_instants, 0u);
 }
 
 }  // namespace

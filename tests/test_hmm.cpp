@@ -53,7 +53,14 @@ TEST(Hmm, MatricesFromMultiplicities) {
   EXPECT_NEAR(hmm.b(0, e0), 1.0, 1e-12);
   EXPECT_NEAR(hmm.b(1, e1), 1.0, 1e-12);
   EXPECT_NEAR(hmm.b(1, e0), 0.0, 1e-12);
+  EXPECT_EQ(hmm.b(0, kNoEvent), 0.0);
   EXPECT_EQ(hmm.eventOf(PatternSeq{{7, 8, false}}), kNoEvent);
+  // Each alternative keeps the event id of its sequence.
+  for (const auto& s : psm.states()) {
+    for (std::size_t alt = 0; alt < s.assertion.alts.size(); ++alt) {
+      EXPECT_EQ(hmm.eventAt(s.id, alt), hmm.eventOf(s.assertion.alts[alt]));
+    }
+  }
 }
 
 TEST(Hmm, FilterStepFollowsTransitions) {

@@ -1,10 +1,15 @@
 // Unit tests for the assertion miner: atom candidates, filters,
-// proposition domain interning and proposition traces.
+// proposition domain interning (and its signature index) and proposition
+// traces.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+
 #include "common/rng.hpp"
 #include "core/miner.hpp"
+#include "serialize/psm_artifact.hpp"
 
 namespace psmgen::core {
 namespace {
@@ -179,6 +184,60 @@ TEST(Domain, ExactlyOnePropositionPerInstant) {
           << "instants " << i << "," << j;
     }
   }
+}
+
+TEST(Domain, SignatureIndexAgreesWithAMapAcrossGrowth) {
+  // 70 atoms: two words per signature. The index starts at 16 slots and
+  // doubles past half full, so 3000 signatures cross eight growths.
+  std::vector<AtomicProposition> atoms(70);
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    atoms[i].lhs = 2;
+    atoms[i].rhs_const = BitVector(16, i);
+  }
+  PropositionDomain domain(vars3(), atoms);
+  std::map<std::vector<bool>, PropId> reference;
+  common::Rng rng(11);
+  const auto randomTruths = [&] {
+    std::vector<bool> truths(atoms.size());
+    for (std::size_t i = 0; i < truths.size(); ++i) {
+      truths[i] = rng.chance(0.5);
+    }
+    return truths;
+  };
+  std::vector<std::vector<bool>> seen;
+  for (int n = 0; n < 4000; ++n) {
+    // One draw in four repeats an earlier signature.
+    const std::vector<bool> truths =
+        !seen.empty() && rng.chance(0.25) ? seen[rng.uniform(seen.size())]
+                                          : randomTruths();
+    const auto [it, fresh] = reference.emplace(
+        truths, static_cast<PropId>(reference.size()));
+    if (fresh) seen.push_back(truths);
+    ASSERT_EQ(domain.intern(Signature(truths)), it->second) << "draw " << n;
+    ASSERT_EQ(domain.size(), reference.size());
+  }
+  ASSERT_GT(reference.size(), 2048u);
+  for (const auto& [truths, id] : reference) {
+    EXPECT_EQ(domain.find(Signature(truths)), id);
+    EXPECT_TRUE(domain.signature(id) == Signature(truths));
+  }
+  for (int n = 0; n < 1000; ++n) {
+    const std::vector<bool> truths = randomTruths();
+    const auto it = reference.find(truths);
+    EXPECT_EQ(domain.find(Signature(truths)),
+              it == reference.end() ? kNoProp : it->second);
+  }
+
+  // A serialize round trip re-interns every signature in id order.
+  Psm psm;
+  PowerState s;
+  s.assertion.alts = {{{0, 1, true}}};
+  psm.addState(std::move(s));
+  std::stringstream bytes;
+  serialize::writePsmModel(bytes, psm, domain);
+  const serialize::PsmModel loaded = serialize::readPsmModel(bytes);
+  EXPECT_TRUE(loaded.domain == domain);
+  EXPECT_EQ(loaded.domain.find(domain.signature(1234)), 1234);
 }
 
 TEST(Domain, DescribeListsTrueAtoms) {

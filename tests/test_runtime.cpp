@@ -237,6 +237,29 @@ TEST(OnlinePredictor, ResetStartsAFreshEquivalentStream) {
   EXPECT_EQ(predictor.stats().resyncs, first_stats.resyncs);
 }
 
+TEST(OnlinePredictor, RejectsARowOfTheWrongShape) {
+  TrainedRam& ram = trainedRam();
+  runtime::OnlinePredictor predictor(ram.flow.psm(), ram.flow.domain());
+  const std::vector<BitVector>& first = ram.eval.step(0);
+  const double estimate = predictor.predictRow(first);
+
+  std::vector<BitVector> longer = first;
+  longer.push_back(BitVector(8, 0x5A));
+  std::vector<BitVector> shorter = first;
+  shorter.pop_back();
+  std::vector<BitVector> wider = first;
+  wider.back() = BitVector(wider.back().width() + 1, 1);
+  for (const auto* bad : {&longer, &shorter, &wider}) {
+    EXPECT_THROW(predictor.predictRow(*bad), std::invalid_argument);
+  }
+  // A rejected row leaves the stream as it was.
+  EXPECT_EQ(predictor.stats().rows, 1u);
+  runtime::OnlinePredictor fresh(ram.flow.psm(), ram.flow.domain());
+  EXPECT_EQ(fresh.predictRow(first), estimate);
+  EXPECT_EQ(predictor.predictRow(ram.eval.step(1)),
+            fresh.predictRow(ram.eval.step(1)));
+}
+
 TEST(OnlinePredictor, CountersTrackLatencyAndThroughput) {
   TrainedRam& ram = trainedRam();
   runtime::OnlinePredictor predictor(ram.flow.psm(), ram.flow.domain());

@@ -1,18 +1,23 @@
 // Tests for the versioned PSM model artifact (serialize/psm_artifact.hpp):
 // exact round-trip identity on the paper's four demo IPs, byte-for-byte
-// determinism of save(load(save(psm))), and strict rejection of
-// malformed, truncated, corrupted, and version-mismatched input.
+// determinism of save(load(save(psm))), strict rejection of malformed,
+// truncated, corrupted, and version-mismatched input, and a mutation
+// fuzzer whose loaded mutants must predict without throwing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
 #include "core/flow.hpp"
 #include "ip/ip_factory.hpp"
 #include "power/gate_estimator.hpp"
+#include "runtime/online_predictor.hpp"
 #include "serialize/psm_artifact.hpp"
 
 namespace psmgen {
@@ -378,6 +383,76 @@ TEST(SerializeErrors, FileRoundTripAndTrailingBytes) {
   EXPECT_THROW(serialize::loadPsmModel(path), serialize::FormatError);
   std::remove(path.c_str());
   EXPECT_THROW(serialize::loadPsmModel(path), std::runtime_error);
+}
+
+// --- mutation fuzzing ------------------------------------------------------
+
+/// A held-out RAM stream of `rows` rows, for stepping loaded mutants.
+trace::FunctionalTrace ramRows(std::size_t rows) {
+  auto device = ip::makeDevice(ip::IpKind::Ram);
+  power::GateLevelEstimator est(*device, ip::powerConfig(ip::IpKind::Ram));
+  auto tb = ip::makeTestbench(ip::IpKind::Ram, ip::TestsetMode::Long, 0xF022);
+  return est.run(*tb, rows).functional;
+}
+
+TEST(SerializeProperty, MutatedArtifactsLoadOrReject) {
+  // RAM's model has regression states, so a loaded mutant's predictor
+  // reaches the Hamming distance as well as the tables built at load.
+  core::CharacterizationFlow flow;
+  trainIp(flow, ip::IpKind::Ram, 2000);
+  ASSERT_TRUE(std::any_of(flow.psm().states().begin(),
+                          flow.psm().states().end(),
+                          [](const core::PowerState& s) {
+                            return s.regression.has_value();
+                          }));
+  const std::string original = serializeToString(flow.psm(), flow.domain());
+  const trace::FunctionalTrace stream = ramRows(128);
+
+  // First the top bit of every payload byte (where the byte is the high
+  // byte of a u32 count, the count then claims over 2^31 elements), then
+  // 1000 random bit flips. Each mutant is re-sealed, so only the
+  // validators stand between it and a loaded model.
+  const std::size_t payload = original.size() - kPayloadBegin - 8;
+  common::Rng rng(0x5EA1);
+  std::size_t rejected = 0;
+  std::size_t loaded = 0;
+  for (std::size_t k = 0; k < payload + 1000; ++k) {
+    const std::size_t at = k < payload ? k : rng.uniform(payload);
+    const unsigned bit =
+        k < payload ? 7u : static_cast<unsigned>(rng.uniform(8));
+    std::string bytes = original;
+    bytes[kPayloadBegin + at] ^= static_cast<char>(1u << bit);
+    reseal(bytes);
+    std::optional<serialize::PsmModel> model;
+    try {
+      model.emplace(parse(bytes));
+    } catch (const serialize::FormatError&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "payload byte " << at << " bit " << bit << ": " << e.what();
+    }
+    ++loaded;
+    // Step rows of the declared widths: the stream's own values where the
+    // mutant kept a variable's width, random bits elsewhere.
+    runtime::OnlinePredictor predictor(*model);
+    const trace::VariableSet& vars = model->domain.variables();
+    std::vector<BitVector> row(vars.size());
+    for (std::size_t t = 0; t < stream.length(); ++t) {
+      for (std::size_t v = 0; v < vars.size(); ++v) {
+        const bool kept = v < stream.variables().size() &&
+                          stream.value(t, static_cast<int>(v)).width() ==
+                              vars[v].width;
+        row[v] = kept ? stream.value(t, static_cast<int>(v))
+                      : rng.bits(vars[v].width);
+      }
+      ASSERT_NO_THROW(predictor.predictRow(row))
+          << "payload byte " << at << " bit " << bit << ", row " << t;
+    }
+  }
+  EXPECT_GE(rejected + loaded, 1000u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 }  // namespace

@@ -152,6 +152,61 @@ TEST(Simulator, RegressionOutputTracksHamming) {
   EXPECT_LT(flow.evaluateMre(t, p), 0.12);
 }
 
+TEST(Simulator, RegressionStateReadsTheDistanceToThePreviousRow) {
+  // s0 (constant 1) and s1 (10 + 100 * HD) alternate on "m"; "d" and the
+  // output "q" carry no atoms but count towards the distance. On entry,
+  // s1 measures from the row just before it, a constant-mu row.
+  trace::VariableSet vars;
+  vars.add("m", 2, trace::VarKind::Input);
+  vars.add("d", 8, trace::VarKind::Input);
+  vars.add("q", 8, trace::VarKind::Output);
+  std::vector<AtomicProposition> atoms(4);
+  for (unsigned k = 0; k < 4; ++k) {
+    atoms[k].lhs = 0;
+    atoms[k].rhs_const = BitVector(2, k);
+  }
+  PropositionDomain domain(vars, atoms);
+  std::vector<PropId> p;
+  for (unsigned k = 0; k < 4; ++k) {
+    p.push_back(
+        domain.internRow({BitVector(2, k), BitVector(8, 0), BitVector(8, 0)}));
+  }
+  const std::vector<std::array<unsigned, 3>> stream = {
+      {0, 0x00, 0x00}, {0, 0xFF, 0x0F}, {0, 0x0F, 0xF0}, {1, 0x0E, 0xF1},
+      {1, 0xF1, 0xF1}, {0, 0x00, 0x00}, {0, 0x7F, 0x00}, {1, 0x80, 0x01}};
+  for (const HammingScope scope :
+       {HammingScope::Inputs, HammingScope::Interface}) {
+    Psm psm;
+    PowerState s0;
+    s0.assertion.alts = {{{p[0], p[1], true}}};
+    s0.power = PowerAttr::single(1.0, 0.1, 10);
+    s0.initial_count = 1;
+    PowerState s1;
+    s1.assertion.alts = {{{p[1], p[0], true}}};
+    s1.power = PowerAttr::single(50.0, 0.1, 10);
+    s1.regression = stats::LinearFit{10.0, 100.0, 0.9, 0.8, 10};
+    s1.regression_scope = scope;
+    psm.addState(std::move(s0));
+    psm.addState(std::move(s1));
+    psm.addInitial(0);
+    psm.addTransition({0, 1, p[1], 1});
+    psm.addTransition({1, 0, p[0], 1});
+    const PsmSimulator sim(psm, domain);
+    auto session = sim.startSession();
+    std::vector<double> estimates;
+    for (const auto& [m, d, q] : stream) {
+      estimates.push_back(session.step(
+          {BitVector(2, m), BitVector(8, d), BitVector(8, q)}));
+    }
+    // Rows 4 and 8 enter s1: m flips one bit, d one bit (0x0F -> 0x0E)
+    // then eight (0x7F -> 0x80), and q one bit each time. Row 5 stays.
+    const bool io = scope == HammingScope::Interface;
+    EXPECT_EQ(estimates, (std::vector<double>{1.0, 1.0, 1.0,
+                                              io ? 310.0 : 210.0, 810.0, 1.0,
+                                              1.0, io ? 1010.0 : 910.0}));
+  }
+}
+
 TEST(Simulator, StrictExitSemanticsFlagsMoreViolations) {
   // Train a next-pattern exit (one-cycle mode 0 between modes), evaluate
   // with a longer mode-0 run: the generalized-exit rule absorbs it, the
