@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
 
@@ -21,6 +22,57 @@ constexpr std::array<std::uint8_t, 256> kHexValue = [] {
   }
   return t;
 }();
+
+// decodeHex8 reads its first character from the lowest byte of the word.
+static_assert(std::endian::native == std::endian::little,
+              "decodeHex8 assumes a little-endian host");
+
+/// Decodes the 8 hex digits at `p`, most significant first, into 32 bits.
+/// ORs a set high bit into `bad` for each byte that is no hex digit.
+std::uint64_t decodeHex8(const char* p, std::uint64_t& bad) {
+  constexpr std::uint64_t k01 = 0x0101010101010101;
+  constexpr std::uint64_t k80 = 0x80 * k01;
+  std::uint64_t x = 0;
+  std::memcpy(&x, p, sizeof(x));
+  // Range tests on the low 7 bits of each byte, so that no sum carries
+  // into the next byte: x + (0x80 - lo) sets a byte's high bit iff the
+  // byte is >= lo, and x + (0x7f - hi) iff it is > hi.
+  const std::uint64_t low7 = x & ~k80;
+  const std::uint64_t digit =
+      (low7 + (0x80 - '0') * k01) & ~(low7 + (0x7f - '9') * k01);
+  const std::uint64_t folded = low7 | 0x20 * k01;  // 'A'-'F' -> 'a'-'f'
+  const std::uint64_t letter =
+      (folded + (0x80 - 'a') * k01) & ~(folded + (0x7f - 'f') * k01) & k80;
+  bad |= (x | ~(digit | letter)) & k80;
+  // '0'-'9' carry their value in the low nibble, 'a'-'f' and 'A'-'F' that
+  // value less 9.
+  std::uint64_t v = (x & 0x0f * k01) + (letter >> 7) * 9;
+  // Byte i holds digit i; gather pairs, then quads, then all eight, the
+  // earlier digit of each pair going to the higher half.
+  v = ((v << 4) | (v >> 8)) & 0x00ff00ff00ff00ff;
+  v = ((v << 8) | (v >> 16)) & 0x0000ffff0000ffff;
+  return ((v << 16) | (v >> 32)) & 0xffffffff;
+}
+
+/// Throws the first error of `hex` as a `width`-bit value in right-to-left
+/// digit order: a bad character, or a digit with a set bit at or above
+/// `width`. `hex` must have such an error.
+[[noreturn]] void throwHexError(std::string_view hex, unsigned width) {
+  for (std::size_t i = 0; i < hex.size(); ++i) {
+    const unsigned nib =
+        kHexValue[static_cast<unsigned char>(hex[hex.size() - 1 - i])];
+    if (nib > 15) {
+      throw std::invalid_argument("BitVector::fromHex: bad character");
+    }
+    const std::size_t pos = 4 * i;
+    if (nib != 0 &&
+        (pos >= width || (nib >> std::min<std::size_t>(width - pos, 4)) != 0)) {
+      break;
+    }
+  }
+  throw std::invalid_argument(
+      "BitVector::fromHex: value does not fit requested width");
+}
 }  // namespace
 
 BitVector::BitVector(unsigned width, std::uint64_t value) {
@@ -44,7 +96,12 @@ void BitVector::reshape(unsigned width) {
     if (n > kInlineLimbs) heap_ = new std::uint64_t[n];
   }
   width_ = width;
-  std::ranges::fill(limbs(), 0);
+  if (onHeap()) {
+    std::fill_n(heap_, n, 0);
+  } else {
+    // Two plain stores, where a fill of limbs() would call memset.
+    inline_[0] = inline_[1] = 0;
+  }
 }
 
 void BitVector::trim() {
@@ -74,43 +131,40 @@ BitVector BitVector::fromHex(std::string_view hex, unsigned width) {
 void BitVector::assignHex(std::string_view hex, unsigned width) {
   reshape(width == 0 ? static_cast<unsigned>(hex.size()) * 4 : width);
   const std::span<std::uint64_t> out = limbs();
-  // Digit i, counted from the right, holds bits [4i, 4i + 4). The first
-  // `body` digits lie wholly inside the width, so only a bad character
-  // can fail there: they are gathered 16 to a limb with one store each.
-  // The digits above them are checked one by one. Either way the first
-  // error in right-to-left order is the one thrown.
-  const std::size_t body = std::min<std::size_t>(hex.size(), width_ / 4);
-  const auto digit = [hex](std::size_t i) -> unsigned {
-    return kHexValue[static_cast<unsigned char>(hex[hex.size() - 1 - i])];
+  // Digits are taken 8 at a time from the right, so group g holds bits
+  // [32g, 32g + 32); the leading remainder of fewer than 8 digits is the
+  // last group. A group above the limbs, or a bit above the width in the
+  // top limb, means the value does not fit.
+  std::uint64_t bad = 0;
+  std::uint64_t spill = 0;
+  const auto place = [&](std::size_t g, std::uint64_t bits) {
+    if (g / 2 < out.size()) {
+      out[g / 2] |= bits << (32 * (g % 2));
+    } else {
+      spill |= bits;
+    }
   };
-  std::size_t i = 0;
-  for (std::size_t k = 0; i < body; ++k) {
-    const std::size_t end = std::min<std::size_t>(body, i + kLimbBits / 4);
-    std::uint64_t acc = 0;
-    unsigned seen = 0;
-    for (unsigned shift = 0; i < end; ++i, shift += 4) {
-      const unsigned nib = digit(i);
-      seen |= nib;
-      acc |= std::uint64_t{nib} << shift;
-    }
-    if (seen > 15) {
-      throw std::invalid_argument("BitVector::fromHex: bad character");
-    }
-    out[k] = acc;
+  std::size_t rest = hex.size();
+  std::size_t g = 0;
+  for (; rest >= 8; ++g) {
+    rest -= 8;
+    place(g, decodeHex8(hex.data() + rest, bad));
   }
-  for (; i < hex.size(); ++i) {
-    const unsigned nib = digit(i);
-    if (nib > 15) {
-      throw std::invalid_argument("BitVector::fromHex: bad character");
+  if (rest != 0) {
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < rest; ++i) {
+      const unsigned nib = kHexValue[static_cast<unsigned char>(hex[i])];
+      bad |= nib & 16;
+      bits = (bits << 4) | (nib & 15);
     }
-    if (nib == 0) continue;
-    const std::size_t pos = 4 * i;
-    if (pos >= width_ || (nib >> std::min<std::size_t>(width_ - pos, 4)) != 0) {
-      throw std::invalid_argument(
-          "BitVector::fromHex: value does not fit requested width");
-    }
-    // pos is a multiple of 4, so a nibble never straddles two limbs.
-    out[pos / kLimbBits] |= std::uint64_t{nib} << (pos % kLimbBits);
+    place(g, bits);
+  }
+  if (const unsigned rem = width_ % kLimbBits; rem != 0) {
+    spill |= out.back() >> rem;
+  }
+  if ((bad | spill) != 0) {
+    trim();
+    throwHexError(hex, width_);
   }
 }
 
@@ -295,19 +349,21 @@ std::string BitVector::toBinary() const {
 }
 
 std::string BitVector::toHex() const {
-  if (width_ == 0) return "";
-  const unsigned nibbles = (width_ + 3) / 4;
-  std::string s(nibbles, '0');
-  static constexpr char kDigits[] = "0123456789abcdef";
-  for (unsigned n = 0; n < nibbles; ++n) {
-    unsigned nib = 0;
-    for (unsigned b = 0; b < 4; ++b) {
-      const unsigned pos = n * 4 + b;
-      if (pos < width_ && bit(pos)) nib |= 1u << b;
-    }
-    s[nibbles - 1 - n] = kDigits[nib];
-  }
+  std::string s;
+  appendHex(s);
   return s;
+}
+
+void BitVector::appendHex(std::string& out) const {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  const std::span<const std::uint64_t> in = limbs();
+  const std::size_t nibbles = (std::size_t{width_} + 3) / 4;
+  const std::size_t at = out.size();
+  out.resize(at + nibbles);
+  // Bits above the width are zero, so the top nibble needs no mask.
+  for (std::size_t n = 0; n < nibbles; ++n) {
+    out[at + nibbles - 1 - n] = kDigits[(in[n / 16] >> (4 * (n % 16))) & 15];
+  }
 }
 
 std::size_t BitVector::hash() const {

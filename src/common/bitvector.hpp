@@ -63,7 +63,8 @@ class BitVector {
   /// fromHex in place: decodes into this vector's own limb storage, so a
   /// value of up to 128 bits, or a wider one whose limb count does not
   /// change, is refilled without allocating. Throws what fromHex throws;
-  /// the value is then valid but unspecified.
+  /// the value is then valid but unspecified. Of several errors, the one
+  /// thrown is the first in right-to-left digit order.
   void assignHex(std::string_view hex, unsigned width = 0);
 
   /// All-ones vector of the given width.
@@ -145,6 +146,9 @@ class BitVector {
   std::string toBinary() const;
   /// MSB-first hex rendering, ceil(width/4) characters.
   std::string toHex() const;
+  /// Appends toHex() to `out`, so that a caller can render many values
+  /// into one reused string.
+  void appendHex(std::string& out) const;
 
   /// FNV-1a hash of (width, limbs) for use in hash maps.
   std::size_t hash() const;

@@ -2,7 +2,6 @@
 
 #include <string.h>  // strerror_r: POSIX, not in <cstring>'s std::
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 
@@ -20,13 +19,15 @@ std::vector<std::string> split(std::string_view s, char delim) {
   return out;
 }
 
+namespace {
+/// std::isspace in the "C" locale, which psmgen never leaves, without the
+/// library call: trim runs on every CSV row.
+bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+}  // namespace
+
 std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
+  while (!s.empty() && isSpace(s.front())) s.remove_prefix(1);
+  while (!s.empty() && isSpace(s.back())) s.remove_suffix(1);
   return s;
 }
 

@@ -11,8 +11,9 @@ namespace psmgen::common {
 /// Splits `s` on `delim`; keeps empty fields.
 std::vector<std::string> split(std::string_view s, char delim);
 
-/// Strips leading/trailing ASCII whitespace (std::isspace); the result
-/// views `s`, so `s` must outlive it.
+/// Strips leading/trailing ASCII whitespace (std::isspace in the "C"
+/// locale: space, \t, \n, \v, \f, \r); the result views `s`, so `s`
+/// must outlive it.
 std::string_view trim(std::string_view s);
 
 /// Strips leading/trailing spaces and tabs only (HTTP's optional

@@ -4,9 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "common/strings.hpp"
 #include "obs/metrics.hpp"
-#include "trace/trace_io.hpp"
 
 namespace psmgen::runtime {
 
@@ -14,7 +12,7 @@ StreamingTraceReader::StreamingTraceReader(std::istream& is)
     : StreamingTraceReader(is, Options{}) {}
 
 StreamingTraceReader::StreamingTraceReader(std::istream& is, Options options)
-    : is_(&is), options_(options) {
+    : lines_(is), options_(options) {
   readPreamble();
 }
 
@@ -23,9 +21,9 @@ StreamingTraceReader::StreamingTraceReader(const std::string& path)
 
 StreamingTraceReader::StreamingTraceReader(const std::string& path,
                                            Options options)
-    : owned_(std::make_unique<std::ifstream>(path)), is_(owned_.get()),
+    : owned_(std::make_unique<std::ifstream>(path)), lines_(*owned_),
       options_(options) {
-  if (!*is_) {
+  if (!*owned_) {
     throw std::runtime_error("StreamingTraceReader: cannot open " + path);
   }
   readPreamble();
@@ -35,29 +33,16 @@ void StreamingTraceReader::readPreamble() {
   if (options_.chunk_rows == 0) {
     throw std::invalid_argument("StreamingTraceReader: chunk_rows must be > 0");
   }
-  if (!std::getline(*is_, line_) ||
-      common::trim(line_) != trace::functionalTraceHeader()) {
-    throw std::runtime_error("trace_io: missing functional trace header");
-  }
-  ++line_no_;
-  if (!std::getline(*is_, line_)) {
-    throw std::runtime_error(
-        "trace_io: truncated trace: missing variable declaration line");
-  }
-  ++line_no_;
-  vars_ = trace::parseVariableDeclaration(line_, line_no_);
+  vars_ = trace::readFunctionalPreamble(lines_);
   buffer_.reserve(options_.chunk_rows);
 }
 
 void StreamingTraceReader::refill() {
   buffer_pos_ = 0;
   buffer_len_ = 0;
-  while (buffer_len_ < options_.chunk_rows && std::getline(*is_, line_)) {
-    ++line_no_;
-    const std::string_view t = common::trim(line_);
-    if (t.empty()) continue;
+  while (buffer_len_ < options_.chunk_rows) {
     if (buffer_len_ == buffer_.size()) buffer_.emplace_back();
-    trace::parseFunctionalRow(t, vars_, line_no_, buffer_[buffer_len_]);
+    if (!trace::readFunctionalRow(lines_, vars_, buffer_[buffer_len_])) break;
     ++buffer_len_;
   }
   if (buffer_len_ == 0) {

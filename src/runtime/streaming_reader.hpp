@@ -9,9 +9,12 @@
 // reader refills its buffer from the stream when it drains, so the
 // consumer sees a simple next() iterator while I/O happens in chunks.
 //
-// The buffer's slots (one parsed row each) and the line buffer live as
-// long as the reader: a refill decodes each line in place into a slot's
-// values, and next() swaps the slot with the caller's row, so the
+// The text comes through a trace::LineSource, which reads the stream in
+// 64 KiB blocks and hands out each line as a view into its block, so the
+// reader holds chunk_rows parsed rows plus one block, and more only for
+// a line longer than a block. The buffer's slots (one parsed row each)
+// live as long as the reader: a refill decodes each line in place into a
+// slot's values, and next() swaps the slot with the caller's row, so the
 // caller's previous row becomes the storage the next refill parses into.
 // A caller that reuses one row therefore streams with no allocation per
 // row once every slot has been filled.
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "common/bitvector.hpp"
+#include "trace/trace_io.hpp"
 #include "trace/variable.hpp"
 
 namespace psmgen::runtime {
@@ -67,15 +71,13 @@ class StreamingTraceReader {
   void refill();
 
   std::unique_ptr<std::istream> owned_;
-  std::istream* is_;
+  trace::LineSource lines_;
   Options options_;
   trace::VariableSet vars_;
   /// Slots, reused across refills; [buffer_pos_, buffer_len_) are unread.
   std::vector<std::vector<common::BitVector>> buffer_;
   std::size_t buffer_pos_ = 0;
   std::size_t buffer_len_ = 0;
-  std::string line_;
-  std::size_t line_no_ = 0;
   std::size_t rows_ = 0;
   std::size_t refills_ = 0;
   std::size_t peak_ = 0;

@@ -14,12 +14,17 @@
 // All parse errors are std::runtime_error carrying the 1-based line
 // number of the offending row, e.g.
 //   "trace_io: line 12: row arity mismatch (got 2 cells, expected 3)".
+// A read that fails before the end of the stream is an error too
+// ("trace_io: read error after line 40"), never a short trace.
 //
-// The low-level line parsers are exported so that streaming consumers
-// (runtime::StreamingTraceReader) share one definition of the format
-// instead of duplicating it.
+// Every loader reads its stream through one LineSource, in blocks of
+// 64 KiB, and decodes each row in one walk over its cells; the reading
+// and row decoding are exported so that runtime::StreamingTraceReader
+// shares one definition of the format instead of duplicating it.
 
+#include <cstddef>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,25 +38,56 @@ namespace psmgen::trace {
 const std::string& functionalTraceHeader();
 const std::string& powerTraceHeader();
 
-/// Parses the "name:kind:width,..." variable declaration (second line of
-/// a functional trace). `line_no` is used in error messages only.
-VariableSet parseVariableDeclaration(const std::string& line,
-                                     std::size_t line_no);
-
-/// Renders the "name:kind:width,..." declaration for `vars` — the exact
-/// inverse of parseVariableDeclaration. Shared by the CSV writer and the
+/// Renders the "name:kind:width,..." declaration for `vars`, the line
+/// after the functional trace header. Shared by the CSV writer and the
 /// serving protocol's Hello negotiation, so both agree on one spelling.
 std::string formatVariableDeclaration(const VariableSet& vars);
 
-/// Parses one trimmed data row ("<hex>,<hex>,...") against `vars` into
-/// `row`, which ends up with one value per variable. The cells are decoded
-/// in place, so a row that held the previous line's values is refilled
-/// without allocating. Throws std::runtime_error naming `line_no` on arity
-/// mismatch or a cell that is empty or not valid hex for its variable's
-/// width; `row` is then unspecified.
-void parseFunctionalRow(std::string_view line, const VariableSet& vars,
-                        std::size_t line_no,
-                        std::vector<common::BitVector>& row);
+/// The lines of a stream, split exactly as std::getline splits them: at
+/// each '\n', which is dropped, with a last line that lacks its '\n'
+/// still handed out. The stream is read in blocks of kBlockBytes; the
+/// buffer holds one block and grows, a block at a time, only to hold a
+/// line longer than that.
+class LineSource {
+ public:
+  static constexpr std::size_t kBlockBytes = 64 * 1024;
+
+  explicit LineSource(std::istream& is);
+
+  /// Views the next line in `line` and returns true, or returns false at
+  /// the end of the stream. The view is valid until the next call. Throws
+  /// std::runtime_error if a read fails before the end of the stream.
+  bool next(std::string_view& line);
+
+  /// 1-based number of the last line handed out; 0 before the first.
+  std::size_t lineNo() const { return line_no_; }
+
+ private:
+  void fill();
+
+  std::istream* is_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t size_;
+  // buf_[begin_, end_) is read and not yet handed out.
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  std::size_t line_no_ = 0;
+  bool eof_ = false;
+};
+
+/// Reads the functional trace header and the variable declaration.
+/// Throws std::runtime_error if either is missing or malformed.
+VariableSet readFunctionalPreamble(LineSource& lines);
+
+/// Decodes the next non-blank line, trimmed, into `row`, which ends up
+/// with one value per variable; returns false at the end of the stream.
+/// The cells are decoded in place, so a row that held the previous
+/// line's values is refilled without allocating. Throws
+/// std::runtime_error naming the line on arity mismatch or a cell that is
+/// empty or not valid hex for its variable's width; `row` is then
+/// unspecified.
+bool readFunctionalRow(LineSource& lines, const VariableSet& vars,
+                       std::vector<common::BitVector>& row);
 
 void writeFunctionalTrace(std::ostream& os, const FunctionalTrace& trace);
 FunctionalTrace readFunctionalTrace(std::istream& is);

@@ -1,5 +1,5 @@
-// Allocation counts of BitVector storage, of the batch CSV loader and of
-// the predictor's per-row step.
+// Allocation counts of BitVector storage, of the batch CSV loader, of the
+// streaming CSV reader and of the predictor's per-row step.
 //
 // This executable replaces the global operator new and delete, array
 // forms included, with counting versions that forward to std::malloc and
@@ -21,6 +21,7 @@
 #include "common/bitvector.hpp"
 #include "common/rng.hpp"
 #include "core/psm_simulator.hpp"
+#include "runtime/streaming_reader.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
@@ -124,6 +125,26 @@ TEST(Allocations, BatchLoaderMakesOneAllocationPerInlineRow) {
     EXPECT_LE(n, header + rows + 2 * std::bit_width(rows))
         << rows << " rows, " << header << " for the header alone";
   }
+}
+
+TEST(Allocations, StreamingReaderAllocatesNothingOnceWarm) {
+  // About 1 MB: many 64 KiB blocks and five refills of the default chunk.
+  const std::string csv = inlineCsv(20000);
+  std::istringstream is(csv);
+  runtime::StreamingTraceReader reader(is);
+  const std::size_t chunk = runtime::StreamingTraceReader::Options{}.chunk_rows;
+  // The caller's row starts with one (empty) value per variable; the first
+  // swap hands that storage to a slot, so every later refill decodes in
+  // place.
+  std::vector<BitVector> row(reader.variables().size());
+  for (std::size_t r = 0; r < chunk; ++r) ASSERT_TRUE(reader.next(row));
+  std::size_t rows = chunk;
+  EXPECT_EQ(allocationsDuring([&] {
+              while (reader.next(row)) ++rows;
+            }),
+            0u);
+  EXPECT_EQ(rows, 20000u);
+  EXPECT_EQ(reader.refills(), 5u);
 }
 
 /// One 2-bit input "m" with one Eq atom per value: PropId k <=> m == k.

@@ -279,6 +279,17 @@ TEST_P(BitVectorWidths, HexRoundTripRandom) {
   const unsigned w = GetParam();
   Rng rng(w * 13 + 5);
   const BitVector v = rng.bits(w);
+  // toHex read bit by bit: nibble n, counted from the right, holds bits
+  // [4n, 4n + 4).
+  std::string want;
+  for (unsigned n = (w + 3) / 4; n-- > 0;) {
+    unsigned nib = 0;
+    for (unsigned b = 0; b < 4 && 4 * n + b < w; ++b) {
+      nib |= unsigned{v.bit(4 * n + b)} << b;
+    }
+    want += "0123456789abcdef"[nib];
+  }
+  EXPECT_EQ(v.toHex(), want);
   EXPECT_EQ(BitVector::fromHex(v.toHex(), w), v);
   // In-place decoding into storage that held a wider, all-ones value
   // must leave no stale limb or bit behind.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -110,6 +111,13 @@ TEST(Strings, Trim) {
   EXPECT_EQ(trim("  x y \t\n"), "x y");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim("   "), "");
+  // Whitespace is exactly what std::isspace accepts in the "C" locale.
+  for (int c = 0; c < 256; ++c) {
+    const std::string s{'x', static_cast<char>(c), 'x'};
+    const bool space = std::isspace(c) != 0;
+    EXPECT_EQ(trim(s.substr(1)), space ? "x" : s.substr(1)) << c;
+    EXPECT_EQ(trim(s.substr(0, 2)), space ? "x" : s.substr(0, 2)) << c;
+  }
 }
 
 TEST(Strings, Join) {

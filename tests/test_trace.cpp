@@ -1,11 +1,15 @@
 // Unit tests for the trace substrate: variable sets, functional and power
-// traces, MRE, CSV round-trips, a differential mutation test of the two
-// CSV loaders, and the VCD writer.
+// traces, MRE, CSV round-trips, read errors, lines across read blocks,
+// differential mutation tests of the CSV loaders, and the VCD writer.
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cmath>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <streambuf>
 
 #include "common/strings.hpp"
 #include "runtime/streaming_reader.hpp"
@@ -33,6 +37,30 @@ FunctionalTrace demoTrace() {
   t.append({BitVector(1, 1), BitVector(8, 0xFF), BitVector(8, 0x0F)});
   t.append({BitVector(1, 1), BitVector(8, 0xF0), BitVector(8, 0x0F)});
   return t;
+}
+
+/// A trace of `rows` rows of uniformly random values over `vars`.
+FunctionalTrace randomTrace(const VariableSet& vars, std::size_t rows,
+                            std::mt19937_64& rng) {
+  FunctionalTrace t(vars);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<BitVector> row;
+    for (std::size_t v = 0; v < vars.size(); ++v) {
+      BitVector value(vars[v].width);
+      for (unsigned b = 0; b < value.width(); ++b) {
+        if (rng() % 2) value.setBit(b, true);
+      }
+      row.push_back(std::move(value));
+    }
+    t.append(std::move(row));
+  }
+  return t;
+}
+
+std::string toCsv(const FunctionalTrace& t) {
+  std::ostringstream os;
+  writeFunctionalTrace(os, t);
+  return os.str();
 }
 
 TEST(VariableSet, AddFindAndKinds) {
@@ -250,6 +278,72 @@ TEST(TraceIoErrors, UnreadablePath) {
   }
 }
 
+/// Serves the first `limit` bytes of `text`, at most 4096 at a time, then
+/// throws from underflow(), as libstdc++'s filebuf does when read(2)
+/// fails.
+class FailingStreamBuf : public std::streambuf {
+ public:
+  FailingStreamBuf(std::string text, std::size_t limit)
+      : text_(std::move(text)), limit_(limit) {}
+
+ protected:
+  int_type underflow() override {
+    if (served_ == limit_) throw std::runtime_error("injected read failure");
+    const std::size_t n = std::min<std::size_t>(4096, limit_ - served_);
+    char* begin = text_.data() + served_;
+    setg(begin, begin, begin + n);
+    served_ += n;
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string text_;
+  std::size_t limit_;
+  std::size_t served_ = 0;
+};
+
+/// Asserts that `reader`, given the first half of `text` before a failing
+/// read, throws a read error rather than returning what it had.
+template <typename Reader>
+void expectReadError(Reader reader, const std::string& text) {
+  FailingStreamBuf buf(text, text.size() / 2);
+  std::istream is(&buf);
+  try {
+    reader(is);
+    FAIL() << "a failed read was taken for the end of the stream";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trace_io: read error after line"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceIoErrors, ReadErrorIsNotEndOfFile) {
+  const auto streamAll = [](std::istream& is) {
+    runtime::StreamingTraceReader reader(is, {1});
+    std::vector<BitVector> row;
+    while (reader.next(row)) {
+    }
+  };
+  std::mt19937_64 rng(0xBAD);
+  // Half of the narrow texts fits in the first block read, which fails;
+  // half of the wide ones does not, so the read after a block that was
+  // handed out fails.
+  for (const bool wide : {false, true}) {
+    VariableSet vars;
+    vars.add("en", 1, VarKind::Input);
+    vars.add("v", wide ? 8192 : 8, VarKind::Input);
+    const std::string csv = toCsv(randomTrace(vars, 100, rng));
+    PowerTrace power({1.0, 1e8, 1e-14});
+    for (int s = 0; s < (wide ? 10000 : 100); ++s) power.append(1e-3 * s);
+    std::ostringstream pw;
+    writePowerTrace(pw, power);
+    expectReadError(readFunctionalTrace, csv);
+    expectReadError(streamAll, csv);
+    expectReadError(readPowerTrace, pw.str());
+  }
+}
+
 TEST(TraceIoProperty, RandomizedFunctionalRoundTrip) {
   std::mt19937_64 rng(0x5EED);
   for (int iter = 0; iter < 20; ++iter) {
@@ -351,13 +445,13 @@ LoadOutcome loadBatch(const std::string& text) {
   return out;
 }
 
-/// Streams with chunk 3 through one reused row, so every refill decodes
-/// into storage that earlier rows left behind.
-LoadOutcome loadStreaming(const std::string& text) {
+/// Streams through one reused row, so every refill after the first
+/// decodes into storage that earlier rows left behind.
+LoadOutcome loadStreaming(const std::string& text, std::size_t chunk) {
   LoadOutcome out;
   std::istringstream is(text);
   try {
-    runtime::StreamingTraceReader reader(is, {3});
+    runtime::StreamingTraceReader reader(is, {chunk});
     out.vars = reader.variables();
     std::vector<BitVector> row;
     while (reader.next(row)) out.rows.push_back(row);
@@ -428,27 +522,13 @@ TEST(TraceIoProperty, MutatedCsvLoadersAgree) {
                  1 + static_cast<unsigned>(rng() % 200),
                  rng() % 2 ? VarKind::Input : VarKind::Output);
       }
-      FunctionalTrace t(vars);
-      for (std::size_t r = 0; r < 8; ++r) {
-        std::vector<BitVector> row;
-        for (std::size_t v = 0; v < nvars; ++v) {
-          BitVector value(vars[v].width);
-          for (unsigned b = 0; b < value.width(); ++b) {
-            if (rng() % 2) value.setBit(b, true);
-          }
-          row.push_back(std::move(value));
-        }
-        t.append(std::move(row));
-      }
-      std::ostringstream os;
-      writeFunctionalTrace(os, t);
-      base = os.str();
+      base = toCsv(randomTrace(vars, 8, rng));
     }
     std::string text = base;
     for (std::uint64_t k = 1 + rng() % 3; k-- > 0;) mutate(text, rng);
 
     const LoadOutcome batch = loadBatch(text);
-    const LoadOutcome streamed = loadStreaming(text);
+    const LoadOutcome streamed = loadStreaming(text, 3);
     ASSERT_EQ(batch.accepted, streamed.accepted)
         << "mutant " << m << ": batch '" << batch.error << "', streamed '"
         << streamed.error << "'";
@@ -465,6 +545,232 @@ TEST(TraceIoProperty, MutatedCsvLoadersAgree) {
   // Both verdicts are exercised, so neither branch passes vacuously.
   EXPECT_GT(accepted, 100u);
   EXPECT_GT(rejected, 100u);
+}
+
+/// Asserts that the batch loader, the streaming reader at chunk 1 and at
+/// chunk 4096, and referenceRows all read `text` as the rows of `want`.
+void expectLoadedAlike(const std::string& text, const FunctionalTrace& want,
+                       const std::string& label) {
+  std::vector<std::vector<BitVector>> rows;
+  for (std::size_t i = 0; i < want.length(); ++i) rows.push_back(want.step(i));
+  const LoadOutcome batch = loadBatch(text);
+  ASSERT_TRUE(batch.accepted) << label << ": " << batch.error;
+  EXPECT_EQ(batch.vars, want.variables()) << label;
+  EXPECT_EQ(batch.rows, rows) << label;
+  for (const std::size_t chunk : {1u, 4096u}) {
+    const LoadOutcome streamed = loadStreaming(text, chunk);
+    ASSERT_TRUE(streamed.accepted) << label << ": " << streamed.error;
+    EXPECT_EQ(streamed.rows, rows) << label << ", chunk " << chunk;
+  }
+  EXPECT_EQ(referenceRows(text, want.variables()), rows) << label;
+}
+
+TEST(TraceIoProperty, LinesAcrossReadBlocksLoadAlike) {
+  std::mt19937_64 rng(0xB10C);
+  // Rows of one 64-bit cell are 17 bytes (18 with CRLF); 8000 of them
+  // span more than two blocks. `pad` leading zeros on the first cell
+  // shift every later line break by one byte, so across the pads the
+  // first block boundary falls at each offset of a line, '\r' and '\n'
+  // included.
+  VariableSet narrow;
+  narrow.add("v", 64, VarKind::Input);
+  const FunctionalTrace rows = randomTrace(narrow, 8000, rng);
+  const std::string csv = toCsv(rows);
+  ASSERT_GT(csv.size(), 2 * LineSource::kBlockBytes);
+  const std::size_t first_cell = csv.find('\n', csv.find('\n') + 1) + 1;
+  std::vector<std::pair<std::string, const FunctionalTrace*>> cases;
+  for (std::size_t pad = 0; pad < 18; ++pad) {
+    std::string text = csv;
+    text.insert(first_cell, pad, '0');
+    cases.emplace_back(std::move(text), &rows);
+  }
+  // One line longer than a block: five 65536-bit cells, 81924 bytes.
+  VariableSet wide;
+  for (int v = 0; v < 5; ++v) {
+    wide.add("w" + std::to_string(v), kMaxVariableWidth, VarKind::Input);
+  }
+  const FunctionalTrace long_lines = randomTrace(wide, 3, rng);
+  cases.emplace_back(toCsv(long_lines), &long_lines);
+  static_assert(5 * kMaxVariableWidth / 4 > LineSource::kBlockBytes);
+
+  for (const auto& [lf, want] : cases) {
+    std::string crlf;
+    for (const char c : lf) {
+      if (c == '\n') crlf += '\r';
+      crlf += c;
+    }
+    const std::pair<std::string, std::string> endings[] = {{"LF", lf},
+                                                           {"CRLF", crlf}};
+    for (const auto& [ending, text] : endings) {
+      const std::string label =
+          ending + ", " + std::to_string(text.size()) + " bytes";
+      expectLoadedAlike(text, *want, label);
+      // The last line without its line break.
+      expectLoadedAlike(text.substr(0, text.size() - 1), *want,
+                        label + ", no final line break");
+    }
+  }
+}
+
+/// What a power trace text holds, read independently of trace_io: lines
+/// split on '\n' as std::getline splits them, trimmed, blank data lines
+/// skipped, and each number read by std::from_chars over the whole string,
+/// finite values only. On a malformed text, `error` is a fragment that the
+/// loader's message must contain.
+struct PowerReference {
+  std::optional<PowerTrace> trace;
+  std::string error;
+};
+
+std::optional<double> referenceReal(std::string_view s) {
+  double v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+PowerReference referencePower(const std::string& text) {
+  std::vector<std::string> lines = common::split(text, '\n');
+  if (text.empty() || text.back() == '\n') lines.pop_back();
+  if (lines.empty() || common::trim(lines[0]) != powerTraceHeader()) {
+    return {std::nullopt, "missing power trace header"};
+  }
+  if (lines.size() < 2) return {std::nullopt, "truncated"};
+  const std::vector<std::string> fields =
+      common::split(common::trim(lines[1]), ',');
+  if (fields.size() != 3) return {std::nullopt, "line 2: "};
+  PowerParams params;
+  double* const slots[] = {&params.vdd, &params.clock_hz, &params.cap_per_bit};
+  for (std::size_t f = 0; f < 3; ++f) {
+    const std::optional<double> v = referenceReal(fields[f]);
+    if (!v) return {std::nullopt, "line 2: "};
+    *slots[f] = *v;
+  }
+  PowerTrace trace(params);
+  for (std::size_t l = 2; l < lines.size(); ++l) {
+    const std::string_view line = common::trim(lines[l]);
+    if (line.empty()) continue;
+    const std::optional<double> v = referenceReal(line);
+    if (!v) return {std::nullopt, "line " + std::to_string(l + 1) + ": "};
+    trace.append(*v);
+  }
+  return {std::move(trace), ""};
+}
+
+TEST(TraceIoProperty, MutatedPowerTracesLoadOrReject) {
+  std::mt19937_64 rng(0x90E5);
+  std::uniform_real_distribution<double> watts(0.0, 1.0);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  std::string base;
+  for (int m = 0; m < 2000; ++m) {
+    if (m % 100 == 0) {
+      PowerTrace p({0.5 + watts(rng), 1e6 + 1e9 * watts(rng), 1e-14 * watts(rng)});
+      for (int s = 0; s < 8; ++s) p.append(watts(rng) * 1e-2);
+      std::ostringstream os;
+      writePowerTrace(os, p);
+      base = os.str();
+    }
+    std::string text = base;
+    for (std::uint64_t k = 1 + rng() % 3; k-- > 0;) mutate(text, rng);
+
+    const PowerReference want = referencePower(text);
+    std::istringstream is(text);
+    try {
+      const PowerTrace got = readPowerTrace(is);
+      ASSERT_TRUE(want.trace.has_value())
+          << "mutant " << m << " loaded; the reference expects '" << want.error
+          << "'";
+      ASSERT_EQ(got, *want.trace) << "mutant " << m;
+      ++accepted;
+    } catch (const std::runtime_error& e) {
+      ASSERT_FALSE(want.trace.has_value())
+          << "mutant " << m << " refused: " << e.what();
+      ASSERT_NE(std::string(e.what()).find(want.error), std::string::npos)
+          << "mutant " << m << ": '" << e.what() << "' lacks '" << want.error
+          << "'";
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
+/// Decodes `hex` at `width` into `v` by assignHex and by referenceFromHex
+/// and asserts the same value, or the same error message.
+void expectDecodedAsReference(BitVector& v, const std::string& hex,
+                              unsigned width) {
+  std::string want_error;
+  BitVector want;
+  try {
+    want = referenceFromHex(hex, width);
+  } catch (const std::invalid_argument& e) {
+    want_error = e.what();
+  }
+  try {
+    v.assignHex(hex, width);
+    ASSERT_EQ(want_error, "") << "'" << hex << "' at width " << width;
+    ASSERT_EQ(v, want) << "'" << hex << "' at width " << width;
+  } catch (const std::invalid_argument& e) {
+    ASSERT_EQ(e.what(), want_error) << "'" << hex << "' at width " << width;
+    // Valid but unspecified: no bit above the width is set.
+    ASSERT_EQ(v, v.resized(v.width())) << "'" << hex << "' at width " << width;
+  }
+}
+
+/// ceil(width / 4) random digits, in mixed case, of a value that fits
+/// `width` bits.
+std::string randomDigits(unsigned width, std::mt19937_64& rng) {
+  static constexpr char kDigits[] = "0123456789abcdefABCDEF";
+  const unsigned n = (width + 3) / 4;
+  std::string hex;
+  for (unsigned i = 0; i < n; ++i) hex += kDigits[rng() % 22];
+  const unsigned top_bits = width - 4 * (n - 1);
+  hex[0] = kDigits[rng() % (1u << top_bits)];
+  return hex;
+}
+
+TEST(TraceIoProperty, HexCellsDecodeAsTheReferenceDoes) {
+  std::mt19937_64 rng(0x4E8);
+  BitVector v;  // reused, as a loader reuses a row's values
+  // Bytes next to the edges of the digit ranges, as they are and with the
+  // high bit set.
+  std::vector<int> edges;
+  for (const char c : std::string("/09:@AFG`afg\r ,")) {
+    edges.push_back(static_cast<unsigned char>(c));
+    edges.push_back(static_cast<unsigned char>(c) | 0x80);
+  }
+  std::vector<int> every(256);
+  for (int c = 0; c < 256; ++c) every[c] = c;
+  // Each byte value at each position of digit strings on both sides of
+  // each multiple of 8 digits. The prefixes add a spare zero, a whole
+  // spare group, and a '1' above the width, to the left of which a bad
+  // character does not take precedence.
+  for (const unsigned width : {1u, 3u, 4u, 5u, 31u, 32u, 33u, 64u, 65u, 128u,
+                               129u, 262u}) {
+    const std::string digits = randomDigits(width, rng);
+    for (const char* prefix : {"", "0", "00000000", "01"}) {
+      const std::string base = prefix + digits;
+      for (std::size_t at = 0; at < base.size(); ++at) {
+        for (const int c : *prefix == '\0' ? every : edges) {
+          std::string hex = base;
+          hex[at] = static_cast<char>(c);
+          expectDecodedAsReference(v, hex, width);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  // Random lengths and widths, with a few stray bytes.
+  for (int i = 0; i < 20000; ++i) {
+    const unsigned width = 1 + static_cast<unsigned>(rng() % 300);
+    std::string hex = randomDigits(1 + static_cast<unsigned>(rng() % 320), rng);
+    if (rng() % 4 == 0) hex[rng() % hex.size()] = static_cast<char>(rng() % 256);
+    expectDecodedAsReference(v, hex, width);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(Vcd, EmitsDeclarationsAndChanges) {
