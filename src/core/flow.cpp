@@ -114,42 +114,42 @@ BuildReport CharacterizationFlow::build() {
   obs::metrics().gauge("flow.propositions").set(
       static_cast<double>(domain_->size()));
 
-  // XU-automaton walk per trace, into pre-sized slots.
+  // XU-automaton walk per trace, into pre-sized slots. The chains are
+  // then simplified in place and move into the join.
+  std::vector<Psm> chains(trace_count);
   {
     obs::PhaseScope phase("xu_walk");
-    raw_psms_.assign(trace_count, Psm{});
     common::parallel_for(pool, trace_count, [&](std::size_t i) {
       obs::Span span("xu_walk#" + std::to_string(i), "task");
-      raw_psms_[i] =
+      chains[i] =
           PsmGenerator::generate(gammas[i], power_[i], static_cast<int>(i));
     });
   }
-  for (const Psm& p : raw_psms_) report.raw_states += p.stateCount();
+  for (const Psm& p : chains) report.raw_states += p.stateCount();
   report.propositions = domain_->size();
 
   // IV: simplify each chain (independent per trace), then join the set.
-  std::vector<Psm> simplified = raw_psms_;
   if (config_.apply_simplify) {
     obs::PhaseScope phase("simplify");
     std::vector<std::size_t> fused(trace_count, 0);
     common::parallel_for(pool, trace_count, [&](std::size_t i) {
       obs::Span span("simplify#" + std::to_string(i), "task");
-      fused[i] = simplify(simplified[i], config_.merge);
+      fused[i] = simplify(chains[i], config_.merge);
     });
     for (const std::size_t f : fused) report.simplified_pairs += f;
   }
   {
     obs::PhaseScope phase("join");
     combined_ = config_.apply_join
-                    ? join(simplified, config_.merge, pool)
-                    : disjointUnion(simplified);
+                    ? join(std::move(chains), config_.merge, pool)
+                    : disjointUnion(std::move(chains));
   }
 
   // IV: regression refinement of data-dependent states.
   if (config_.apply_refine) {
     obs::PhaseScope phase("refine");
     const RefineReport rr = refineDataDependentStates(
-        combined_, functional_, power_, config_.refine);
+        combined_, functional_, power_, config_.refine, pool);
     report.refined_states = rr.refined;
   }
 

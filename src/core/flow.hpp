@@ -34,8 +34,9 @@ struct FlowConfig {
   bool apply_refine = true;
   /// Threads for the embarrassingly parallel stages of build(): per-atom
   /// mining statistics, per-trace proposition evaluation / XU-automaton
-  /// walk / chain simplification, and the pairwise mergeability tests of
-  /// the join. 0 = all hardware threads, 1 = the sequential seed path.
+  /// walk / chain simplification, the pairwise mergeability tests of
+  /// the join, and the per-state regression fits of the refinement.
+  /// 0 = all hardware threads, 1 = the sequential seed path.
   /// The combined PSM is bit-identical for every value: parallel results
   /// land in per-index slots, proposition interning and merging stay in
   /// fixed index order. (Overrides miner.num_threads inside build().)
@@ -77,7 +78,6 @@ class CharacterizationFlow {
 
   const PropositionDomain& domain() const;
   const Psm& psm() const;
-  const std::vector<Psm>& rawPsms() const { return raw_psms_; }
   const PsmSimulator& simulator() const;
   const std::vector<trace::FunctionalTrace>& trainingFunctional() const {
     return functional_;
@@ -97,7 +97,6 @@ class CharacterizationFlow {
   std::vector<trace::PowerTrace> power_;
 
   std::unique_ptr<PropositionDomain> domain_;
-  std::vector<Psm> raw_psms_;
   Psm combined_;
   std::unique_ptr<PsmSimulator> simulator_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -113,46 +114,47 @@ std::vector<StateId> chainOrder(const Psm& psm) {
   return order;
 }
 
-PowerState fuseSequence(const PowerState& a, const PowerState& b) {
-  if (a.assertion.alts.size() != 1 || b.assertion.alts.size() != 1) {
-    throw std::invalid_argument("simplify: states must have one alternative");
-  }
-  PowerState out;
-  out.assertion.alts.push_back(a.assertion.alts.front());
-  auto& seq = out.assertion.alts.front();
-  seq.insert(seq.end(), b.assertion.alts.front().begin(),
-             b.assertion.alts.front().end());
-  out.power = PowerAttr::merged(a.power, b.power);
-  out.intervals = a.intervals;
-  out.intervals.insert(out.intervals.end(), b.intervals.begin(),
-                       b.intervals.end());
-  out.initial_count = a.initial_count + b.initial_count;
-  return out;
-}
-
 }  // namespace
 
 std::size_t simplify(Psm& psm, const MergePolicy& pol) {
   if (psm.stateCount() <= 1) return 0;
+  for (const PowerState& s : psm.states()) {
+    if (s.assertion.alts.size() != 1) {
+      throw std::invalid_argument("simplify: states must have one alternative");
+    }
+  }
   std::size_t total_fused = 0;
   bool changed = true;
   while (changed) {
     changed = false;
     const std::vector<StateId> order = chainOrder(psm);
 
-    // One left-to-right pass fusing adjacent mergeable states.
+    // One left-to-right pass fusing adjacent mergeable states in place.
+    // States move out of the old chain; nothing reads it afterwards.
     std::vector<PowerState> fused;
     fused.reserve(order.size());
-    fused.push_back(psm.state(order.front()));
+    fused.push_back(std::move(psm.state(order.front())));
     for (std::size_t i = 1; i < order.size(); ++i) {
-      const PowerState& next = psm.state(order[i]);
-      if (mergeable(fused.back().power, next.power, pol)) {
-        fused.back() = fuseSequence(fused.back(), next);
-        ++total_fused;
-        changed = true;
-      } else {
-        fused.push_back(next);
+      PowerState& next = psm.state(order[i]);
+      if (!mergeable(fused.back().power, next.power, pol)) {
+        fused.push_back(std::move(next));
+        continue;
       }
+      PowerState& last = fused.back();
+      // `next` becomes the last pattern of `last`'s `;`-sequence. The
+      // fused sequence is a new behaviour: multiplicity 1, no regression.
+      PatternSeq& seq = last.assertion.alts.front();
+      const PatternSeq& tail = next.assertion.alts.front();
+      seq.insert(seq.end(), tail.begin(), tail.end());
+      last.assertion.counts.clear();
+      last.power = PowerAttr::merged(last.power, next.power);
+      last.intervals.insert(last.intervals.end(), next.intervals.begin(),
+                            next.intervals.end());
+      last.regression.reset();
+      last.regression_scope = HammingScope::Interface;
+      last.initial_count += next.initial_count;
+      ++total_fused;
+      changed = true;
     }
 
     Psm rebuilt;
@@ -182,14 +184,14 @@ std::size_t simplify(Psm& psm, const MergePolicy& pol) {
   return total_fused;
 }
 
-Psm disjointUnion(const std::vector<Psm>& psms) {
+Psm disjointUnion(std::vector<Psm> psms) {
   Psm out;
-  for (const Psm& p : psms) {
+  for (Psm& p : psms) {
     std::vector<StateId> remap(p.stateCount(), kNoState);
-    for (const auto& s : p.states()) {
-      PowerState copy = s;
-      copy.id = kNoState;
-      remap[static_cast<std::size_t>(s.id)] = out.addState(std::move(copy));
+    for (StateId id = 0; id < static_cast<StateId>(p.stateCount()); ++id) {
+      PowerState& s = p.state(id);
+      s.id = kNoState;
+      remap[static_cast<std::size_t>(id)] = out.addState(std::move(s));
     }
     for (const auto& t : p.transitions()) {
       out.addTransition({remap[static_cast<std::size_t>(t.from)],
@@ -204,16 +206,17 @@ Psm disjointUnion(const std::vector<Psm>& psms) {
 
 namespace {
 
-/// Removes dead states, renumbers the survivors, and rebuilds the initial
-/// set from initial_count (fused initial states keep their multiplicity).
-Psm compact(const Psm& psm, const std::vector<char>& alive) {
+/// Removes dead states, renumbers the survivors (moving them), and
+/// rebuilds the initial set from initial_count (fused initial states keep
+/// their multiplicity).
+Psm compact(Psm psm, const std::vector<char>& alive) {
   Psm out;
   std::vector<StateId> remap(psm.stateCount(), kNoState);
-  for (const auto& s : psm.states()) {
-    if (!alive[static_cast<std::size_t>(s.id)]) continue;
-    PowerState copy = s;
-    copy.id = kNoState;
-    remap[static_cast<std::size_t>(s.id)] = out.addState(std::move(copy));
+  for (StateId id = 0; id < static_cast<StateId>(psm.stateCount()); ++id) {
+    if (!alive[static_cast<std::size_t>(id)]) continue;
+    PowerState& s = psm.state(id);
+    s.id = kNoState;
+    remap[static_cast<std::size_t>(id)] = out.addState(std::move(s));
   }
   for (const auto& t : psm.transitions()) {
     out.addTransition({remap[static_cast<std::size_t>(t.from)],
@@ -230,8 +233,9 @@ Psm compact(const Psm& psm, const std::vector<char>& alive) {
 namespace {
 
 /// Merges state j's payload (assertion alternatives, power attributes,
-/// intervals, initial multiplicity) into state i. Transitions are NOT
-/// rewired here; join() remaps them once at the end via the parent map.
+/// intervals, initial multiplicity) into state i; j is dead afterwards, so
+/// its alternatives move. Transitions are NOT rewired here; join() remaps
+/// them once at the end via the parent map.
 void fusePayload(Psm& merged, std::size_t i, std::size_t j) {
   PowerState& a = merged.state(static_cast<StateId>(i));
   PowerState& b = merged.state(static_cast<StateId>(j));
@@ -241,8 +245,9 @@ void fusePayload(Psm& merged, std::size_t i, std::size_t j) {
   for (std::size_t alt = 0; alt < b.assertion.alts.size(); ++alt) {
     a.assertion.counts.push_back(b.assertion.countOf(alt));
   }
-  a.assertion.alts.insert(a.assertion.alts.end(), b.assertion.alts.begin(),
-                          b.assertion.alts.end());
+  a.assertion.alts.insert(a.assertion.alts.end(),
+                          std::make_move_iterator(b.assertion.alts.begin()),
+                          std::make_move_iterator(b.assertion.alts.end()));
   a.power = PowerAttr::merged(a.power, b.power);
   a.intervals.insert(a.intervals.end(), b.intervals.begin(),
                      b.intervals.end());
@@ -275,9 +280,9 @@ double rangeGap(const PowerAttr& a, const PowerAttr& b) {
 
 }  // namespace
 
-Psm join(const std::vector<Psm>& psms, const MergePolicy& pol,
+Psm join(std::vector<Psm> psms, const MergePolicy& pol,
          common::ThreadPool* pool) {
-  Psm merged = disjointUnion(psms);
+  Psm merged = disjointUnion(std::move(psms));
   if (merged.stateCount() == 0) return merged;
 
   // The methodology presupposes a correspondence between functional
@@ -402,11 +407,12 @@ Psm join(const std::vector<Psm>& psms, const MergePolicy& pol,
     t.to = static_cast<StateId>(root[static_cast<std::size_t>(t.to)]);
   }
 
-  Psm out = compact(merged, alive);
+  const std::size_t states_before = merged.stateCount();
+  Psm out = compact(std::move(merged), alive);
   normalizeAssertions(out);
   obs::metrics().gauge("merge.join.states_after")
       .set(static_cast<double>(out.stateCount()));
-  obs::debug("merge.joined", {{"states_before", merged.stateCount()},
+  obs::debug("merge.joined", {{"states_before", states_before},
                               {"states_after", out.stateCount()},
                               {"transitions", out.transitionCount()}});
   return out;

@@ -71,6 +71,9 @@ struct MergePolicy {
 bool mergeable(const PowerAttr& a, const PowerAttr& b, const MergePolicy& pol);
 
 /// In-place chain simplification; returns the number of fused pairs.
+/// Every state must have exactly one alternative, as an XU chain's states
+/// do; otherwise it throws std::invalid_argument before anything changes,
+/// whether or not that state would have been fused.
 std::size_t simplify(Psm& psm, const MergePolicy& pol);
 
 /// Joins a set of simplified PSMs into one PSM with one initial state per
@@ -79,11 +82,14 @@ std::size_t simplify(Psm& psm, const MergePolicy& pol);
 /// mergeability tests of each state against the cluster representatives;
 /// the merge order (and thus the joined PSM) is identical to the
 /// sequential run because the lowest-indexed fitting representative is
-/// chosen regardless of which test finishes first.
-Psm join(const std::vector<Psm>& psms, const MergePolicy& pol,
+/// chosen regardless of which test finishes first. The input states move
+/// into the result; pass the PSMs by std::move when they are not needed
+/// afterwards.
+Psm join(std::vector<Psm> psms, const MergePolicy& pol,
          common::ThreadPool* pool = nullptr);
 
-/// Union of two PSMs without any merging (used internally and by tests).
-Psm disjointUnion(const std::vector<Psm>& psms);
+/// Union of PSMs without any merging (the join's first step, and the
+/// flow's result when the join is ablated); the states move as in join().
+Psm disjointUnion(std::vector<Psm> psms);
 
 }  // namespace psmgen::core

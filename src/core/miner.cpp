@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -78,6 +79,26 @@ AtomStats scanAtom(const AtomicProposition& atom,
   return s;
 }
 
+using ValueCounts =
+    std::unordered_map<common::BitVector, std::size_t, common::BitVectorHash>;
+
+/// Occurrences of each value of variable `vid` over all traces, or nullopt
+/// at the first row that brings a distinct value past `max_distinct`: the
+/// variable is data-like from then on, whatever the remaining rows hold.
+std::optional<ValueCounts> countValues(
+    const std::vector<const trace::FunctionalTrace*>& traces, int vid,
+    std::size_t max_distinct) {
+  ValueCounts counts;
+  for (const auto* t : traces) {
+    for (std::size_t i = 0; i < t->length(); ++i) {
+      const auto [it, fresh] = counts.try_emplace(t->value(i, vid), 0);
+      if (fresh && counts.size() > max_distinct) return std::nullopt;
+      ++it->second;
+    }
+  }
+  return counts;
+}
+
 }  // namespace
 
 std::vector<AtomicProposition> AssertionMiner::candidateAtoms(
@@ -104,26 +125,10 @@ std::vector<AtomicProposition> AssertionMiner::candidateAtoms(
       return;
     }
     // Frequent-constant mining for wide variables.
-    std::unordered_map<common::BitVector, std::size_t, common::BitVectorHash>
-        counts;
-    bool overflow = false;
-    for (const auto* t : traces) {
-      for (std::size_t i = 0; i < t->length(); ++i) {
-        const common::BitVector& value = t->value(i, vid);
-        auto it = counts.find(value);
-        if (it != counts.end()) {
-          ++it->second;
-        } else if (counts.size() < config_.value_track_limit) {
-          counts.emplace(value, 1);
-        } else {
-          overflow = true;
-        }
-      }
-    }
-    const bool control_like =
-        !overflow && counts.size() <= config_.max_distinct_for_constants;
-    out.control = control_like ? 1 : 0;
-    if (!control_like) {
+    const std::optional<ValueCounts> counts =
+        countValues(traces, vid, config_.max_distinct_for_constants);
+    out.control = counts ? 1 : 0;
+    if (!counts) {
       // Data-like variable: no constant atoms; the zero atom (if enabled)
       // still captures the common "bus held at 0" behaviour.
       if (config_.mine_zero) {
@@ -133,7 +138,7 @@ std::vector<AtomicProposition> AssertionMiner::candidateAtoms(
       return;
     }
     std::vector<std::pair<common::BitVector, std::size_t>> frequent(
-        counts.begin(), counts.end());
+        counts->begin(), counts->end());
     std::sort(frequent.begin(), frequent.end(),
               [](const auto& a, const auto& b) {
                 if (a.second != b.second) return a.second > b.second;

@@ -33,6 +33,8 @@ struct MinerConfig {
   /// at most this many distinct values over the training set. Variables
   /// with many distinct values carry data, and "var = const" atoms over
   /// them fragment the proposition trace without describing behaviour.
+  /// Counting a variable's values stops at the first distinct value past
+  /// this bound, which also bounds the memory spent on random data.
   std::size_t max_distinct_for_constants = 8;
   /// Drop atoms whose truth value changes between consecutive instants
   /// more often than this fraction (noise filter).
@@ -48,9 +50,6 @@ struct MinerConfig {
   bool mine_var_var = true;
   /// Mine "var = 0" atoms for wide variables even when 0 is not frequent.
   bool mine_zero = true;
-  /// Cap on distinct values tracked per variable while hunting for
-  /// frequent constants (bounds memory on random data).
-  std::size_t value_track_limit = 4096;
   /// Threads used for candidate extraction and the per-atom statistics
   /// scan when the caller does not hand in a pool: 0 = all hardware
   /// threads, 1 = the sequential seed path. Mined atoms are independent

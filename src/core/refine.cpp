@@ -7,21 +7,43 @@
 
 namespace psmgen::core {
 
+namespace {
+
+/// The two regressions of one candidate state, fitted over the rows of its
+/// intervals; `samples` below the minimum leaves both unfitted.
+struct CandidateFit {
+  StateId state = kNoState;
+  std::size_t samples = 0;
+  stats::LinearFit inputs;     ///< power against the input Hamming distance
+  stats::LinearFit interface;  ///< power against the PI+PO Hamming distance
+};
+
+}  // namespace
+
 RefineReport refineDataDependentStates(
     Psm& psm, const std::vector<trace::FunctionalTrace>& functional,
-    const std::vector<trace::PowerTrace>& power, const RefineConfig& cfg) {
+    const std::vector<trace::PowerTrace>& power, const RefineConfig& cfg,
+    common::ThreadPool* pool) {
   if (functional.size() != power.size()) {
     throw std::invalid_argument("refine: trace vectors size mismatch");
   }
-  RefineReport report;
+  std::vector<CandidateFit> fits;
   for (StateId id = 0; id < static_cast<StateId>(psm.stateCount()); ++id) {
-    PowerState& s = psm.state(id);
-    if (s.power.cv() <= cfg.min_cv) continue;
-    ++report.candidates;
-
+    if (psm.state(id).power.cv() > cfg.min_cv) fits.emplace_back().state = id;
+  }
+  // Each candidate's fit reads only its own intervals, so the fits run on
+  // the pool into per-candidate slots; adoption below runs in state order.
+  common::parallel_for(pool, fits.size(), [&](std::size_t c) {
+    CandidateFit& fit = fits[c];
+    const PowerState& s = psm.state(fit.state);
+    std::size_t rows = 0;
+    for (const Interval& iv : s.intervals) rows += iv.length();
     std::vector<double> hd_in;
     std::vector<double> hd_io;
     std::vector<double> watts;
+    hd_in.reserve(rows);
+    hd_io.reserve(rows);
+    watts.reserve(rows);
     for (const Interval& iv : s.intervals) {
       if (iv.trace_id < 0 ||
           static_cast<std::size_t>(iv.trace_id) >= functional.size()) {
@@ -35,15 +57,23 @@ RefineReport refineDataDependentStates(
         watts.push_back(p.at(t));
       }
     }
-    if (watts.size() < cfg.min_samples) continue;
-    // Try both observables and keep the better-correlated one (the
-    // methodology observes the whole black-box interface; which part
-    // drives the power is IP-dependent).
-    const stats::LinearFit fit_in = stats::linearRegression(hd_in, watts);
-    const stats::LinearFit fit_io = stats::linearRegression(hd_io, watts);
-    const bool use_inputs =
-        std::fabs(fit_in.pearson_r) >= std::fabs(fit_io.pearson_r);
-    const stats::LinearFit& best = use_inputs ? fit_in : fit_io;
+    fit.samples = watts.size();
+    if (fit.samples < cfg.min_samples) return;
+    fit.inputs = stats::linearRegression(hd_in, watts);
+    fit.interface = stats::linearRegression(hd_io, watts);
+  });
+
+  RefineReport report;
+  report.candidates = fits.size();
+  for (const CandidateFit& fit : fits) {
+    if (fit.samples < cfg.min_samples) continue;
+    PowerState& s = psm.state(fit.state);
+    // Keep the better-correlated of the two observables (the methodology
+    // observes the whole black-box interface; which part drives the power
+    // is IP-dependent).
+    const bool use_inputs = std::fabs(fit.inputs.pearson_r) >=
+                            std::fabs(fit.interface.pearson_r);
+    const stats::LinearFit& best = use_inputs ? fit.inputs : fit.interface;
     obs::metrics().counter("refine.regressions_fitted").add(2);
     obs::metrics().histogram("refine.sigma").record(s.power.stddev);
     obs::metrics().histogram("refine.cv").record(s.power.cv());

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/psm.hpp"
 #include "trace/functional_trace.hpp"
 #include "trace/power_trace.hpp"
@@ -32,8 +33,14 @@ struct RefineReport {
 
 /// Applies the refinement in place. `functional[i]` / `power[i]` must be
 /// the training pair whose trace_id is i (as tagged in state intervals).
+/// A non-null pool fits the candidate states in parallel, one per-state
+/// slot each; the regressions are then adopted, and the `refine.*` metrics
+/// recorded, in state order, so the PSM is identical for every pool. An
+/// interval naming an unknown trace throws std::out_of_range before any
+/// state changes.
 RefineReport refineDataDependentStates(
     Psm& psm, const std::vector<trace::FunctionalTrace>& functional,
-    const std::vector<trace::PowerTrace>& power, const RefineConfig& cfg);
+    const std::vector<trace::PowerTrace>& power, const RefineConfig& cfg,
+    common::ThreadPool* pool = nullptr);
 
 }  // namespace psmgen::core

@@ -7,6 +7,14 @@ namespace psmgen::stats {
 
 namespace {
 
+/// ln|Gamma(x)|. glibc's lgamma also stores the sign of Gamma(x) in the
+/// global `signgam`, a data race when the merge tests run on pool
+/// threads; lgamma_r is the same computation with the sign kept local.
+double lnGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 // Continued-fraction evaluation of the incomplete beta (Lentz's method).
 double betaContinuedFraction(double a, double b, double x) {
   constexpr int kMaxIter = 300;
@@ -54,7 +62,7 @@ double incompleteBeta(double a, double b, double x) {
   }
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
+  const double ln_front = lnGamma(a + b) - lnGamma(a) - lnGamma(b) +
                           a * std::log(x) + b * std::log(1.0 - x);
   const double front = std::exp(ln_front);
   if (x < (a + 1.0) / (a + b + 2.0)) {

@@ -21,10 +21,9 @@ void FunctionalTrace::append(std::vector<common::BitVector> row) {
 unsigned FunctionalTrace::inputHammingDistance(std::size_t t) const {
   if (t == 0 || t >= rows_.size()) return 0;
   unsigned hd = 0;
-  for (const int id : vars_.inputs()) {
-    hd += common::BitVector::hammingDistance(
-        rows_[t][static_cast<std::size_t>(id)],
-        rows_[t - 1][static_cast<std::size_t>(id)]);
+  for (std::size_t v = 0; v < vars_.size(); ++v) {
+    if (vars_[v].kind != VarKind::Input) continue;
+    hd += common::BitVector::hammingDistance(rows_[t][v], rows_[t - 1][v]);
   }
   return hd;
 }

@@ -1,5 +1,6 @@
 // Allocation counts of BitVector storage, of the batch CSV loader, of the
-// streaming CSV reader and of the predictor's per-row step.
+// streaming CSV reader, of a trace's input Hamming distance, and of the
+// predictor's per-row step.
 //
 // This executable replaces the global operator new and delete, array
 // forms included, with counting versions that forward to std::malloc and
@@ -17,11 +18,13 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/bitvector.hpp"
 #include "common/rng.hpp"
 #include "core/psm_simulator.hpp"
 #include "runtime/streaming_reader.hpp"
+#include "trace/functional_trace.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
@@ -145,6 +148,36 @@ TEST(Allocations, StreamingReaderAllocatesNothingOnceWarm) {
             0u);
   EXPECT_EQ(rows, 20000u);
   EXPECT_EQ(reader.refills(), 5u);
+}
+
+TEST(Allocations, InputHammingDistanceAllocatesNothing) {
+  // Inputs of 1, 8 and 129 bits (the last on the heap) around an output
+  // that the input distance must skip.
+  trace::VariableSet vars;
+  vars.add("en", 1, trace::VarKind::Input);
+  vars.add("op", 8, trace::VarKind::Input);
+  vars.add("out", 8, trace::VarKind::Output);
+  vars.add("key", 129, trace::VarKind::Input);
+  trace::FunctionalTrace t(vars);
+  common::Rng rng(3);
+  for (int r = 0; r < 64; ++r) {
+    t.append({rng.bits(1), rng.bits(8), rng.bits(8), rng.bits(129)});
+  }
+  std::vector<unsigned> hd(t.length());
+  EXPECT_EQ(allocationsDuring([&] {
+              for (std::size_t r = 0; r < t.length(); ++r) {
+                hd[r] = t.inputHammingDistance(r);
+              }
+            }),
+            0u);
+  EXPECT_EQ(hd[0], 0u);
+  for (std::size_t r = 1; r < t.length(); ++r) {
+    unsigned expected = 0;
+    for (const int v : {0, 1, 3}) {
+      expected += BitVector::hammingDistance(t.value(r, v), t.value(r - 1, v));
+    }
+    EXPECT_EQ(hd[r], expected) << "row " << r;
+  }
 }
 
 /// One 2-bit input "m" with one Eq atom per value: PropId k <=> m == k.

@@ -165,6 +165,9 @@ TEST(Flow, ParallelBuildIsIdenticalToSequential) {
   EXPECT_EQ(par_report.raw_states, seq_report.raw_states);
   EXPECT_EQ(par_report.simplified_pairs, seq_report.simplified_pairs);
   EXPECT_EQ(par_report.refined_states, seq_report.refined_states);
+  // The pooled refinement and the in-place fuse both ran.
+  EXPECT_GT(seq_report.refined_states, 1u);
+  EXPECT_GT(seq_report.simplified_pairs, 0u);
 }
 
 TEST(Flow, RejectsMismatchedTraces) {

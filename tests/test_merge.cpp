@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "core/merge.hpp"
 
@@ -140,6 +142,48 @@ TEST(Simplify, LeavesDistinctStatesAlone) {
   EXPECT_EQ(psm.stateCount(), 2u);
 }
 
+TEST(Simplify, FusesAWholeChainInChainOrder) {
+  // 200 states of nearly equal power, every adjacent pair mergeable. State
+  // ids run against the chain: chain position k is state 199 - k.
+  constexpr std::size_t kStates = 200;
+  std::vector<PowerState> chain;
+  for (std::size_t k = 0; k < kStates; ++k) {
+    chain.push_back(makeState(static_cast<PropId>(k),
+                              static_cast<PropId>(k + 1), true,
+                              1.0 + 0.001 * static_cast<double>(k % 7), 0.05,
+                              10 + k % 5, 1000 * k));
+  }
+  Psm psm;
+  for (std::size_t k = kStates; k-- > 0;) psm.addState(chain[k]);
+  const auto idAt = [](std::size_t k) {
+    return static_cast<StateId>(kStates - 1 - k);
+  };
+  psm.addInitial(idAt(0));
+  psm.state(idAt(0)).initial_count = 1;
+  for (std::size_t k = 0; k + 1 < kStates; ++k) {
+    psm.addTransition({idAt(k), idAt(k + 1), static_cast<PropId>(k + 1)});
+  }
+
+  EXPECT_EQ(simplify(psm, MergePolicy{}), kStates - 1);
+  ASSERT_EQ(psm.stateCount(), 1u);
+  const PowerState& fused = psm.state(0);
+  PatternSeq patterns;
+  std::vector<Interval> intervals;
+  PowerAttr pooled = chain.front().power;
+  for (std::size_t k = 0; k < kStates; ++k) {
+    patterns.push_back(chain[k].assertion.alts.front().front());
+    intervals.push_back(chain[k].intervals.front());
+    if (k > 0) pooled = PowerAttr::merged(pooled, chain[k].power);
+  }
+  ASSERT_EQ(fused.assertion.alts.size(), 1u);
+  EXPECT_EQ(fused.assertion.alts.front(), patterns);
+  EXPECT_EQ(fused.intervals, intervals);
+  EXPECT_EQ(fused.power, pooled);  // bitwise: left-to-right pooling
+  EXPECT_EQ(psm.initialStates(), (std::vector<StateId>{0}));
+  EXPECT_EQ(fused.initial_count, 1u);
+  EXPECT_EQ(psm.transitionCount(), 0u);
+}
+
 TEST(Join, MergesRepeatedBehaviourAcrossChains) {
   // Two traces of the same idle/busy alternation.
   Psm a = makeChain({{0, 1, true, 1.0, 0.05, 50}, {1, 0, true, 5.0, 0.05, 50}});
@@ -221,6 +265,18 @@ TEST(Simplify, RejectsNonChain) {
   psm.addTransition({1, 0, 0});  // back edge: now a cycle
   MergePolicy pol;
   EXPECT_ANY_THROW(simplify(psm, pol));
+}
+
+TEST(Simplify, RejectsAStateWithTwoAlternativesBeforeFusingAny) {
+  // The two idles would fuse; busy has two alternatives and fuses with
+  // nothing, yet the chain is refused and left as it was.
+  Psm psm = makeChain({{0, 1, true, 1.0, 0.05, 50},
+                       {1, 2, true, 1.01, 0.05, 40},
+                       {2, 0, true, 5.0, 0.05, 30}});
+  psm.state(2).assertion.alts.push_back(PatternSeq{{3, 0, true}});
+  const Psm before = psm;
+  EXPECT_THROW(simplify(psm, MergePolicy{}), std::invalid_argument);
+  EXPECT_TRUE(psm == before);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/miner.hpp"
@@ -111,6 +113,53 @@ TEST(Miner, VarVarOnlyForControlLikePairs) {
     EXPECT_NE(n, "x>y");
   }
   EXPECT_TRUE(saw_ab);
+}
+
+/// Two traces of one 8-bit bus that holds 0x00, 0x11, ..., 0x77 for runs
+/// of 60, 50, 45, 40, 35, 30, 25 and 20 rows, the first four values on the
+/// first trace: as many distinct values as a control-like variable may
+/// take. `ninth_value` puts a ninth value on the last row of the last
+/// trace instead.
+std::vector<trace::FunctionalTrace> busTraces(bool ninth_value) {
+  trace::VariableSet vars;
+  vars.add("bus", 8, trace::VarKind::Input);
+  std::vector<trace::FunctionalTrace> traces(2, trace::FunctionalTrace(vars));
+  const std::size_t runs[] = {60, 50, 45, 40, 35, 30, 25, 20};
+  for (unsigned k = 0; k < 8; ++k) {
+    for (std::size_t i = 0; i < runs[k]; ++i) {
+      traces[k / 4].append({BitVector(8, 0x11 * k)});
+    }
+  }
+  if (ninth_value) {
+    trace::FunctionalTrace& last = traces.back();
+    last = last.subtrace(0, last.length() - 1);
+    last.append({BitVector(8, 0x88)});
+  }
+  return traces;
+}
+
+std::vector<std::string> atomNames(
+    const std::vector<trace::FunctionalTrace>& traces) {
+  AssertionMiner miner;
+  std::vector<std::string> names;
+  for (const auto& a : miner.mineAtoms({&traces[0], &traces[1]})) {
+    names.push_back(a.toString(traces[0].variables()));
+  }
+  return names;
+}
+
+TEST(Miner, WideVariableAtTheDistinctBoundMinesItsConstants) {
+  ASSERT_EQ(MinerConfig{}.max_distinct_for_constants, 8u);
+  // The four most frequent values (0x00 among them, so no extra zero atom).
+  EXPECT_EQ(atomNames(busTraces(false)),
+            (std::vector<std::string>{"bus=0x00", "bus=0x11", "bus=0x22",
+                                      "bus=0x33"}));
+}
+
+TEST(Miner, OneMoreDistinctValueLeavesOnlyTheZeroAtom) {
+  // The ninth value arrives on the very last row the miner reads.
+  EXPECT_EQ(atomNames(busTraces(true)),
+            (std::vector<std::string>{"bus=0x00"}));
 }
 
 TEST(Miner, RejectsBadInputs) {
