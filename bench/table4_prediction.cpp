@@ -7,7 +7,7 @@
 // the evaluation trace is written out as CSV. The measured quantities are
 // (a) cold-load: loadPsmModel wall time, including the HMM integrity
 // re-derivation, (b) streaming throughput: rows/second through
-// StreamingTraceReader + OnlinePredictor with the default chunk size, and
+// StreamingTraceReader + OnlinePredictor, one reused row at a time, and
 // (c) prediction accuracy vs the gate-level ground truth: WSP%, lost%,
 // resyncs/kilorow (predict.* gauges) plus power MAE/MRE (bench.* gauges)
 // — the quantities scripts/accuracy_gate.py pins against BENCH_table4.json.
@@ -17,9 +17,9 @@
 // (schema "psmgen.metrics.v1") — the very same schema `psmgen
 // --metrics-out` writes, so runtime metrics and bench results can be
 // tracked and diffed with one set of tooling. The bench-only measurements
-// land in `bench.*` gauges; the predictor/reader counters (predict.*,
-// reader.*) are filled by the instrumented pipeline itself. --cycles N
-// overrides the eval length.
+// land in `bench.*` gauges; the predictor counters (predict.*) are
+// filled by the instrumented pipeline itself. --cycles N overrides the
+// eval length.
 
 #include <chrono>
 #include <cmath>
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     const double load_s = seconds(t0) / kLoads;
 
     const serialize::PsmModel model = serialize::loadPsmModel(model_path);
-    runtime::StreamingTraceReader reader(trace_path, {4096});
+    runtime::StreamingTraceReader reader(trace_path);
     runtime::OnlinePredictor predictor(model);
     // Accuracy vs the gate-level ground truth, accumulated row-by-row in
     // the streaming sink (the power trace never materializes beside the

@@ -59,17 +59,15 @@ int main() {
   // From here on, only the artifact and the trace file are used: this is
   // what a serving process does after the trainer exits.
   const serialize::PsmModel model = serialize::loadPsmModel(model_path);
-  runtime::StreamingTraceReader reader(eval_path, {1024});
+  runtime::StreamingTraceReader reader(eval_path);
   runtime::OnlinePredictor predictor(model);
 
   std::vector<double> streamed;
   const runtime::PredictorStats stats = predictor.predictStream(
       reader, [&](std::size_t, double watts) { streamed.push_back(watts); });
 
-  std::printf("served %zu rows at %.0f rows/s "
-              "(peak %zu rows resident, %zu refills)\n",
-              stats.rows, stats.rowsPerSecond(), reader.peakBufferedRows(),
-              reader.refills());
+  std::printf("served %zu rows at %.0f rows/s, one row resident\n",
+              stats.rows, stats.rowsPerSecond());
   std::printf("  MRE vs gate-level reference: %.2f %%\n",
               100.0 * trace::meanRelativeError(streamed,
                                                reference.power.samples()));

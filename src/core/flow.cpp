@@ -129,7 +129,7 @@ BuildReport CharacterizationFlow::build() {
   report.propositions = domain_->size();
 
   // IV: simplify each chain (independent per trace), then join the set.
-  if (config_.apply_simplify) {
+  {
     obs::PhaseScope phase("simplify");
     std::vector<std::size_t> fused(trace_count, 0);
     common::parallel_for(pool, trace_count, [&](std::size_t i) {
@@ -140,9 +140,7 @@ BuildReport CharacterizationFlow::build() {
   }
   {
     obs::PhaseScope phase("join");
-    combined_ = config_.apply_join
-                    ? join(std::move(chains), config_.merge, pool)
-                    : disjointUnion(std::move(chains));
+    combined_ = join(std::move(chains), config_.merge, pool);
   }
 
   // IV: regression refinement of data-dependent states.
@@ -228,10 +226,8 @@ double CharacterizationFlow::evaluateMre(
     const trace::FunctionalTrace& trace,
     const trace::PowerTrace& reference) const {
   const SimResult r = estimate(trace);
-  std::vector<double> ref(reference.samples().begin(),
-                          reference.samples().begin() +
-                              static_cast<std::ptrdiff_t>(r.estimate.size()));
-  return trace::meanRelativeError(r.estimate, ref);
+  return trace::meanRelativeError(
+      r.estimate, trace::referenceSamples(reference, r.estimate.size()));
 }
 
 }  // namespace psmgen::core

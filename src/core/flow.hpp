@@ -28,9 +28,7 @@ struct FlowConfig {
   MergePolicy merge;
   RefineConfig refine;
   SimOptions sim;
-  // Ablation knobs (all on for the paper's flow).
-  bool apply_simplify = true;
-  bool apply_join = true;
+  /// Ablation knob (on for the paper's flow).
   bool apply_refine = true;
   /// Threads for the embarrassingly parallel stages of build(): per-atom
   /// mining statistics, per-trace proposition evaluation / XU-automaton

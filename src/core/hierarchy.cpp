@@ -62,9 +62,8 @@ HierarchicalFlow::Accuracy HierarchicalFlow::evaluate(
   double grand_total = 0.0;
   std::vector<double> component_total(flows_.size(), 0.0);
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    std::vector<double> ref(reference[i].samples().begin(),
-                            reference[i].samples().begin() +
-                                static_cast<std::ptrdiff_t>(trace.length()));
+    const std::vector<double> ref =
+        trace::referenceSamples(reference[i], trace.length());
     acc.component_mre.push_back(
         trace::meanRelativeError(est.per_component[i].estimate, ref));
     for (std::size_t t = 0; t < ref.size(); ++t) {

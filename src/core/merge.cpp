@@ -184,6 +184,10 @@ std::size_t simplify(Psm& psm, const MergePolicy& pol) {
   return total_fused;
 }
 
+namespace {
+
+/// Union of PSMs without any merging, the join's first step; the states
+/// move into the result.
 Psm disjointUnion(std::vector<Psm> psms) {
   Psm out;
   for (Psm& p : psms) {
@@ -203,8 +207,6 @@ Psm disjointUnion(std::vector<Psm> psms) {
   }
   return out;
 }
-
-namespace {
 
 /// Removes dead states, renumbers the survivors (moving them), and
 /// rebuilds the initial set from initial_count (fused initial states keep
@@ -227,10 +229,6 @@ Psm compact(Psm psm, const std::vector<char>& alive) {
   }
   return out;
 }
-
-}  // namespace
-
-namespace {
 
 /// Merges state j's payload (assertion alternatives, power attributes,
 /// intervals, initial multiplicity) into state i; j is dead afterwards, so
@@ -386,13 +384,11 @@ Psm join(std::vector<Psm> psms, const MergePolicy& pol,
   // gap); two *different* modes that share an entry proposition — e.g. an
   // idle and a busy phase that look identical at the ports — sit far
   // apart in power and stay separate.
-  if (pol.consolidate_data_dependent) {
-    for (auto& [entry, members] : buckets) {
-      cluster(members, [&](const PowerState& a, const PowerState& b) {
-        return rangeGap(a.power, b.power) <= pol.data_gap &&
-               PowerAttr::merged(a.power, b.power).span() <= pol.data_span;
-      });
-    }
+  for (auto& [entry, members] : buckets) {
+    cluster(members, [&](const PowerState& a, const PowerState& b) {
+      return rangeGap(a.power, b.power) <= pol.data_gap &&
+             PowerAttr::merged(a.power, b.power).span() <= pol.data_span;
+    });
   }
 
   // Path-compressed lookup, then remap every transition endpoint.

@@ -60,7 +60,6 @@ struct MergePolicy {
   /// modes that share an entry proposition (an idle and a busy phase that
   /// look identical at the ports) sit far apart and stay separate. The
   /// combined span is additionally capped by `data_span`.
-  bool consolidate_data_dependent = true;
   double data_gap = 0.8;
   double data_span = 4.0;
 
@@ -87,9 +86,5 @@ std::size_t simplify(Psm& psm, const MergePolicy& pol);
 /// afterwards.
 Psm join(std::vector<Psm> psms, const MergePolicy& pol,
          common::ThreadPool* pool = nullptr);
-
-/// Union of PSMs without any merging (the join's first step, and the
-/// flow's result when the join is ablated); the states move as in join().
-Psm disjointUnion(std::vector<Psm> psms);
 
 }  // namespace psmgen::core

@@ -166,21 +166,20 @@ std::vector<AtomicProposition> AssertionMiner::candidateAtoms(
     atoms.insert(atoms.end(), vc.atoms.begin(), vc.atoms.end());
   }
 
-  if (config_.mine_var_var) {
-    // Relational atoms only between control-like variables: comparing two
-    // data buses (e.g. an AES key against a data block) yields a truth
-    // value that is an artifact of the particular random data, stable
-    // within an operation yet void of behavioural meaning — it fragments
-    // the proposition alphabet across operations.
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      for (std::size_t j = i + 1; j < vars.size(); ++j) {
-        if (vars[i].width != vars[j].width || vars[i].width == 1) continue;
-        if (!per_var[i].control || !per_var[j].control) continue;
-        atoms.push_back({static_cast<int>(i), CmpOp::Eq,
-                         static_cast<int>(j), common::BitVector()});
-        atoms.push_back({static_cast<int>(i), CmpOp::Gt,
-                         static_cast<int>(j), common::BitVector()});
-      }
+  // Relational atoms (=, >) between same-width wide variables, and only
+  // between control-like ones: comparing two data buses (e.g. an AES key
+  // against a data block) yields a truth value that is an artifact of the
+  // particular random data, stable within an operation yet void of
+  // behavioural meaning — it fragments the proposition alphabet across
+  // operations.
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    for (std::size_t j = i + 1; j < vars.size(); ++j) {
+      if (vars[i].width != vars[j].width || vars[i].width == 1) continue;
+      if (!per_var[i].control || !per_var[j].control) continue;
+      atoms.push_back({static_cast<int>(i), CmpOp::Eq,
+                       static_cast<int>(j), common::BitVector()});
+      atoms.push_back({static_cast<int>(i), CmpOp::Gt,
+                       static_cast<int>(j), common::BitVector()});
     }
   }
   return atoms;

@@ -46,8 +46,6 @@ struct MinerConfig {
   /// length-1 runs exceeds this bound. Boolean control atoms are exempt:
   /// single-cycle pulses (start/done strobes) are real behaviour.
   double max_singleton_run_fraction = 0.25;
-  /// Mine relational atoms (=, >) between same-width wide variables.
-  bool mine_var_var = true;
   /// Mine "var = 0" atoms for wide variables even when 0 is not frequent.
   bool mine_zero = true;
   /// Threads used for candidate extraction and the per-atom statistics

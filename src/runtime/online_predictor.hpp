@@ -73,8 +73,8 @@ class OnlinePredictor {
 
   /// Streams every row of `reader` through a fresh stream; `sink` (may be
   /// empty) receives (row index, estimate) as rows are consumed — nothing
-  /// is accumulated, so memory stays bounded by the reader's chunk size.
-  /// Returns the stream's final counters.
+  /// is accumulated, so memory stays bounded by one row and the reader's
+  /// block. Returns the stream's final counters.
   PredictorStats predictStream(
       StreamingTraceReader& reader,
       const std::function<void(std::size_t, double)>& sink = {});

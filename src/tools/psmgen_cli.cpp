@@ -2,7 +2,7 @@
 //
 // Usage:
 //   psmgen train    --func F.csv --power F.pw [...] --out model.psm [--lint]
-//   psmgen predict  --psm model.psm --eval E.csv [--ref E.pw] [--chunk N]
+//   psmgen predict  --psm model.psm --eval E.csv [--ref E.pw]
 //   psmgen lint     --psm model.psm [--json] [--werror] [--suppress ID]
 //   psmgen generate --func F.csv --power F.pw [...]
 //                   [--dot out.dot] [--systemc out.cpp] [--plain]
@@ -71,8 +71,7 @@ int usage() {
       "usage:\n"
       "  psmgen train    --func F.csv --power F.pw [...] --out model.psm "
       "[--dot out.dot] [--systemc out.cpp] [--plain] [--threads N]\n"
-      "  psmgen predict  --psm model.psm --eval E.csv [--ref E.pw] "
-      "[--chunk N]\n"
+      "  psmgen predict  --psm model.psm --eval E.csv [--ref E.pw]\n"
       "  psmgen lint     --psm model.psm [--json] [--werror] "
       "[--suppress ID[,ID...]] [--epsilon E]\n"
       "  psmgen serve    --psm model.psm [--serve-port N] "
@@ -100,8 +99,6 @@ int usage() {
       "\n"
       "  --threads N        characterization threads, 0..1024 "
       "(0 = all hardware threads [default], 1 = sequential)\n"
-      "  --chunk N          rows buffered by the streaming predictor "
-      "(default 4096)\n"
       "\n"
       "serve (multi-client TCP prediction server speaking the "
       "psmgen.serve.v1 framed protocol\non 127.0.0.1, one predictor "
@@ -166,7 +163,6 @@ struct Args {
   std::string psm;
   bool plain = false;
   unsigned threads = 0;
-  std::size_t chunk = 4096;
   // serve endpoint surface.
   int port = 9464;
   std::string port_file;
@@ -266,8 +262,6 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (flag == "--threads") {
       ok = integer(args.threads, 0, 1024,
                    "expects a thread count in [0, 1024]");
-    } else if (flag == "--chunk") {
-      ok = integer(args.chunk, 1, kNoMax, "expects a positive row count");
     } else if (flag == "--port") {
       ok = integer(args.port, 0, 65535, "expects a port in [0, 65535]");
     } else if (flag == "--port-file") {
@@ -425,6 +419,12 @@ int runGenerate(const Args& args, bool estimate) {
   if (!estimate) return 0;
 
   const trace::FunctionalTrace eval = trace::loadFunctionalTrace(args.eval);
+  // A reference too short to score every instant is refused before any
+  // estimate is printed.
+  const std::vector<double> ref =
+      args.ref.empty() ? std::vector<double>{}
+                       : trace::referenceSamples(
+                             trace::loadPowerTrace(args.ref), eval.length());
   const core::SimResult sim = flow.estimate(eval);
   std::printf("instant,power_w\n");
   for (std::size_t t = 0; t < sim.estimate.size(); ++t) {
@@ -436,13 +436,9 @@ int runGenerate(const Args& args, bool estimate) {
              {"unexpected", sim.unexpected_behaviours},
              {"lost", sim.lost_instants}});
   if (!args.ref.empty()) {
-    const trace::PowerTrace ref = trace::loadPowerTrace(args.ref);
-    std::vector<double> r(ref.samples().begin(),
-                          ref.samples().begin() +
-                              static_cast<std::ptrdiff_t>(sim.estimate.size()));
     obs::info("estimate.mre",
               {{"mre_percent",
-                100.0 * trace::meanRelativeError(sim.estimate, r)}});
+                100.0 * trace::meanRelativeError(sim.estimate, ref)}});
   }
   return 0;
 }
@@ -547,7 +543,7 @@ int runPredict(const Args& args) {
   // The quality monitor observes each row's verdict from the sink: the
   // estimate CSV on stdout cannot depend on it, and the windowed drift
   // gauges land in --metrics-out for free.
-  runtime::StreamingTraceReader reader(args.eval, {args.chunk});
+  runtime::StreamingTraceReader reader(args.eval);
   runtime::OnlinePredictor predictor(model);
   runtime::QualityMonitor monitor(model.psm);
   monitor.reset();  // publishes quality.status = ok before the first row
@@ -569,8 +565,6 @@ int runPredict(const Args& args) {
              {"lost", stats.lost_instants},
              {"resyncs", stats.resyncs},
              {"rows_per_second", stats.rowsPerSecond()},
-             {"chunk_rows", args.chunk},
-             {"peak_buffered_rows", reader.peakBufferedRows()},
              {"quality_status",
               runtime::driftStatusName(monitor.status())}});
   if (!args.ref.empty() && mre_n > 0) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace psmgen::trace {
 
@@ -48,6 +49,18 @@ double meanRelativeError(const std::vector<double>& estimate,
     ++n;
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
+
+std::vector<double> referenceSamples(const PowerTrace& reference,
+                                     std::size_t n) {
+  if (reference.length() < n) {
+    throw std::invalid_argument(
+        "reference power trace has " + std::to_string(reference.length()) +
+        " samples, fewer than the " + std::to_string(n) +
+        " instants estimated");
+  }
+  const auto& s = reference.samples();
+  return {s.begin(), s.begin() + static_cast<std::ptrdiff_t>(n)};
 }
 
 }  // namespace psmgen::trace

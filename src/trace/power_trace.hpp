@@ -53,4 +53,10 @@ class PowerTrace {
 double meanRelativeError(const std::vector<double>& estimate,
                          const std::vector<double>& reference);
 
+/// The first `n` samples of `reference`: what an estimate of `n` instants
+/// is scored against, since a reference may run longer than the estimate.
+/// Throws std::invalid_argument naming both lengths if it is shorter.
+std::vector<double> referenceSamples(const PowerTrace& reference,
+                                     std::size_t n);
+
 }  // namespace psmgen::trace

@@ -36,22 +36,6 @@ int VariableSet::find(const std::string& name) const {
   return -1;
 }
 
-std::vector<int> VariableSet::inputs() const {
-  std::vector<int> ids;
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    if (vars_[i].kind == VarKind::Input) ids.push_back(static_cast<int>(i));
-  }
-  return ids;
-}
-
-std::vector<int> VariableSet::outputs() const {
-  std::vector<int> ids;
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    if (vars_[i].kind == VarKind::Output) ids.push_back(static_cast<int>(i));
-  }
-  return ids;
-}
-
 unsigned VariableSet::inputBits() const {
   unsigned bits = 0;
   for (const auto& v : vars_) {

@@ -40,10 +40,6 @@ class VariableSet {
   /// Id of the named variable, or -1 if absent.
   int find(const std::string& name) const;
 
-  /// Ids of all input (respectively output) variables, in order.
-  std::vector<int> inputs() const;
-  std::vector<int> outputs() const;
-
   /// Total bit width of all input variables.
   unsigned inputBits() const;
   /// Total bit width of all output variables.

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/rng.hpp"
 #include "core/flow.hpp"
 #include "ip/ip_factory.hpp"
@@ -78,6 +81,32 @@ TEST(Flow, TrainingTraceHasLowMre) {
   // Busy power is data-dependent; the regression refinement must capture
   // it, leaving only model error.
   EXPECT_LT(mre, 0.05);
+}
+
+TEST(Flow, EvaluateMreRejectsAShortReference) {
+  core::CharacterizationFlow flow(toyConfig());
+  trace::FunctionalTrace f;
+  trace::PowerTrace p;
+  buildToyPair(7, 60, f, p);
+  flow.addTrainingTrace(f, p);
+  flow.build();
+  // A reference that ends before the trace cannot score every instant;
+  // it is refused, naming both lengths, before any sample is read.
+  const trace::PowerTrace short_ref = p.subtrace(0, 10);
+  try {
+    flow.evaluateMre(f, short_ref);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("10 samples"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(f.length()) + " instants"),
+              std::string::npos)
+        << what;
+  }
+  // A reference longer than the trace is scored on its first instants.
+  trace::PowerTrace long_ref = p;
+  long_ref.append(1.0);
+  EXPECT_EQ(flow.evaluateMre(f, long_ref), flow.evaluateMre(f, p));
 }
 
 TEST(Flow, GeneralizesToUnseenTraceOfSameBehaviour) {

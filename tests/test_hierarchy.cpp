@@ -89,6 +89,12 @@ TEST(Hierarchy, BuildsOneFlowPerComponentAndSumsEstimates) {
   // The control-dominated "rest" partition is modelled far better than
   // the glitch-heavy datapath — the localization property.
   EXPECT_LT(acc.component_mre[2], acc.component_mre[0]);
+
+  // A component reference that ends before the trace is refused.
+  std::vector<trace::PowerTrace> short_ref = eval.power;
+  short_ref[1] = short_ref[1].subtrace(0, 10);
+  EXPECT_THROW(hier.evaluate(eval.functional, short_ref),
+               std::invalid_argument);
 }
 
 TEST(Hierarchy, RejectsInconsistentInput) {

@@ -1,4 +1,4 @@
-// Tests for the streaming prediction runtime (runtime/): bounded-memory
+// Tests for the streaming prediction runtime (runtime/): row-at-a-time
 // trace iteration, exact equivalence of the online predictor with the
 // fused PsmSimulator::simulate path, and the per-stream counters.
 
@@ -55,7 +55,7 @@ TEST(StreamingReader, MatchesBatchLoader) {
     std::istringstream batch(csv);
     EXPECT_EQ(trace::readFunctionalTrace(batch), t);
     std::istringstream is(csv);
-    runtime::StreamingTraceReader reader(is, {4});
+    runtime::StreamingTraceReader reader(is);
     EXPECT_EQ(reader.variables(), t.variables());
     std::vector<BitVector> row;
     std::size_t i = 0;
@@ -65,33 +65,38 @@ TEST(StreamingReader, MatchesBatchLoader) {
       ++i;
     }
     EXPECT_EQ(i, t.length());
-    EXPECT_EQ(reader.rowsDelivered(), t.length());
-    EXPECT_EQ(reader.refills(), 3u);  // ceil(10 / 4)
-    EXPECT_FALSE(reader.next(row));   // stays exhausted
+    EXPECT_FALSE(reader.next(row));  // stays exhausted
   }
 }
 
-TEST(StreamingReader, MemoryBoundedByChunkOnLargeTrace) {
-  const std::size_t kRows = 5000;
-  const std::size_t kChunk = 256;
-  std::istringstream is(toCsv(randomTrace(kRows, 2)));
-  runtime::StreamingTraceReader reader(is, {kChunk});
-  std::vector<BitVector> row;
-  std::size_t rows = 0;
-  while (reader.next(row)) ++rows;
-  EXPECT_EQ(rows, kRows);
-  EXPECT_LE(reader.peakBufferedRows(), kChunk);
-  EXPECT_GT(reader.peakBufferedRows(), 0u);
-  EXPECT_GE(reader.refills(), kRows / kChunk);
-}
-
-TEST(StreamingReader, EmptyTraceAndSingleRowChunk) {
+TEST(StreamingReader, EmptyTraceYieldsNoRows) {
   trace::FunctionalTrace empty(randomTrace(0, 3));
   std::istringstream is(toCsv(empty));
-  runtime::StreamingTraceReader reader(is, {1});
+  runtime::StreamingTraceReader reader(is);
   std::vector<BitVector> row;
   EXPECT_FALSE(reader.next(row));
-  EXPECT_EQ(reader.rowsDelivered(), 0u);
+}
+
+TEST(StreamingReader, DeliversEveryRowBeforeABadOne) {
+  // 5000 good rows on file lines 3-5002, then a row with one cell too
+  // many on line 5003: each good row arrives before the reader throws.
+  const trace::FunctionalTrace t = randomTrace(5000, 2);
+  std::istringstream is(toCsv(t) + "1,2,3\n");
+  runtime::StreamingTraceReader reader(is);
+  std::vector<BitVector> row;
+  std::size_t delivered = 0;
+  try {
+    while (reader.next(row)) {
+      ASSERT_LT(delivered, t.length());
+      ASSERT_EQ(row, t.step(delivered));
+      ++delivered;
+    }
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 5003"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(delivered, t.length());
 }
 
 TEST(StreamingReader, RejectsBadInput) {
@@ -102,10 +107,6 @@ TEST(StreamingReader, RejectsBadInput) {
   EXPECT_THROW(runtime::StreamingTraceReader{headers_only},
                std::runtime_error);
 
-  std::istringstream good(toCsv(randomTrace(4, 4)));
-  EXPECT_THROW(runtime::StreamingTraceReader(good, {0}),
-               std::invalid_argument);
-
   EXPECT_THROW(runtime::StreamingTraceReader("/nonexistent/trace.csv"),
                std::runtime_error);
 }
@@ -114,7 +115,7 @@ TEST(StreamingReader, ArityMismatchNamesTheLine) {
   std::string csv = toCsv(randomTrace(3, 5));
   csv += "1,2,3\n";  // 3 cells, the variable set has 2; this is file line 6
   std::istringstream is(csv);
-  runtime::StreamingTraceReader reader(is, {64});
+  runtime::StreamingTraceReader reader(is);
   std::vector<BitVector> row;
   try {
     while (reader.next(row)) {
@@ -131,7 +132,7 @@ TEST(StreamingReader, EmptyCellNamesTheLine) {
   std::string csv = toCsv(randomTrace(3, 6));
   csv += "1,\n";  // b's cell is empty; this is file line 6
   std::istringstream is(csv);
-  runtime::StreamingTraceReader reader(is, {64});
+  runtime::StreamingTraceReader reader(is);
   std::vector<BitVector> row;
   try {
     while (reader.next(row)) {
@@ -204,10 +205,8 @@ TEST(OnlinePredictor, LoadedArtifactServesIdenticalEstimates) {
 
 TEST(OnlinePredictor, StreamedPredictionIsBoundedAndIdentical) {
   TrainedRam& ram = trainedRam();
-  const std::size_t kChunk = 512;
-  ASSERT_GT(ram.eval.length(), kChunk);  // trace larger than one chunk
   std::istringstream is(toCsv(ram.eval));
-  runtime::StreamingTraceReader reader(is, {kChunk});
+  runtime::StreamingTraceReader reader(is);
 
   runtime::OnlinePredictor predictor(ram.flow.psm(), ram.flow.domain());
   std::vector<double> streamed;
@@ -219,10 +218,6 @@ TEST(OnlinePredictor, StreamedPredictionIsBoundedAndIdentical) {
       });
   EXPECT_EQ(streamed, ram.flow.estimate(ram.eval).estimate);
   EXPECT_EQ(stats.rows, ram.eval.length());
-  // The bounded-memory contract: the reader never materializes more than
-  // one chunk of the trace, however long the stream.
-  EXPECT_LE(reader.peakBufferedRows(), kChunk);
-  EXPECT_GE(reader.refills(), ram.eval.length() / kChunk);
 }
 
 TEST(OnlinePredictor, ResetStartsAFreshEquivalentStream) {

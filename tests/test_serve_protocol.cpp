@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -526,6 +528,168 @@ TEST(ServeSession, RowFlagsTallyToTheFinAckCounters) {
   EXPECT_GT(wrong, 0u);
   EXPECT_GT(unexpected, 0u);
   EXPECT_GT(resyncs, 0u);
+}
+
+// --- mutation fuzzing -----------------------------------------------------
+
+/// A valid client byte stream (Hello, Rows frames, Fin) and the offsets
+/// of its u32 length fields: each frame header's payload length, Hello's
+/// two string lengths and each Rows frame's row count.
+struct ClientStream {
+  trace::VariableSet vars;
+  std::string bytes;
+  std::vector<std::size_t> length_fields;
+  std::size_t frames = 0;
+};
+
+ClientStream randomClientStream(common::Rng& rng) {
+  ClientStream s;
+  // Widths of 1-200 bits leave padding in most last bytes and cross the
+  // 64-bit limb boundaries.
+  const std::uint64_t nvars = rng.range(1, 4);
+  for (std::uint64_t v = 0; v < nvars; ++v) {
+    s.vars.add(std::string(1, static_cast<char>('a' + v)),
+               static_cast<unsigned>(rng.range(1, 200)),
+               rng.chance(0.5) ? trace::VarKind::Input
+                               : trace::VarKind::Output);
+  }
+  auto append = [&](const std::string& frame) {
+    s.length_fields.push_back(s.bytes.size() + 1);
+    s.bytes += frame;
+    ++s.frames;
+  };
+  const std::string model_id(rng.uniform(6), 'm');
+  s.length_fields.push_back(s.bytes.size() + 9);
+  s.length_fields.push_back(s.bytes.size() + 13 + model_id.size());
+  append(encodeHello(
+      {kProtocolVersion, model_id, trace::formatVariableDeclaration(s.vars)}));
+  for (std::uint64_t f = rng.range(1, 3); f-- > 0;) {
+    std::vector<std::vector<BitVector>> rows(rng.uniform(5));
+    for (auto& row : rows) {
+      for (const auto& v : s.vars.all()) row.push_back(rng.bits(v.width));
+    }
+    s.length_fields.push_back(s.bytes.size() + 5);
+    append(encodeRows(rows));
+  }
+  append(encodeFin());
+  return s;
+}
+
+/// Applies one random mutation: a bit flip, a truncation, or an edited
+/// length field (a small step, a small value, or any u32).
+void mutate(std::string& bytes, const std::vector<std::size_t>& length_fields,
+            common::Rng& rng) {
+  switch (rng.uniform(3)) {
+    case 0:  // flip one bit
+      if (!bytes.empty()) {
+        const std::size_t at = rng.uniform(bytes.size());
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform(8)));
+      }
+      break;
+    case 1:  // cut the stream short
+      bytes.resize(rng.uniform(bytes.size() + 1));
+      break;
+    default: {  // rewrite a length field
+      const std::size_t at =
+          length_fields[rng.uniform(length_fields.size())];
+      if (at + 4 > bytes.size()) break;
+      std::uint32_t len = 0;
+      std::memcpy(&len, bytes.data() + at, 4);
+      switch (rng.uniform(3)) {
+        case 0:
+          len += static_cast<std::uint32_t>(rng.range(1, 8)) *
+                 (rng.chance(0.5) ? 1u : ~0u);
+          break;
+        case 1:
+          len = static_cast<std::uint32_t>(rng.uniform(64));
+          break;
+        default:
+          len = static_cast<std::uint32_t>(rng.next());
+          break;
+      }
+      std::memcpy(bytes.data() + at, &len, 4);
+      break;
+    }
+  }
+}
+
+/// Decodes a frame's payload with the decoder its type names and
+/// re-encodes the result: every layout is canonical, so a payload that
+/// decodes must come back as the same bytes. A server never reads a Fin
+/// payload, so a Fin comes back as it is.
+std::string reencode(const Frame& frame, const trace::VariableSet& vars) {
+  switch (frame.type) {
+    case FrameType::Hello:
+      return encodeHello(decodeHello(frame.payload));
+    case FrameType::HelloOk:
+      return encodeHelloOk(decodeHelloOk(frame.payload));
+    case FrameType::Rows:
+      return encodeRows(decodeRows(frame.payload, vars));
+    case FrameType::Est:
+      return encodeEst(decodeEst(frame.payload));
+    case FrameType::Fin:
+      break;
+    case FrameType::FinAck:
+      return encodeFinAck(decodeFinAck(frame.payload));
+    case FrameType::Error:
+      return encodeError(decodeError(frame.payload));
+  }
+  return encodeFrame(frame.type, frame.payload.data(), frame.payload.size());
+}
+
+/// Feeds `bytes` to a FrameDecoder in pieces cut at up to three random
+/// points, decoding every frame as it completes; returns the number of
+/// frames. Throws whatever the decoder or a payload decoder throws.
+std::size_t decodeStream(const std::string& bytes,
+                         const trace::VariableSet& vars, common::Rng& rng) {
+  std::vector<std::size_t> cuts = {0, bytes.size()};
+  for (std::uint64_t k = rng.uniform(4); k-- > 0;) {
+    cuts.push_back(rng.uniform(bytes.size() + 1));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  FrameDecoder decoder;
+  std::size_t frames = 0;
+  for (std::size_t c = 1; c < cuts.size(); ++c) {
+    decoder.feed(bytes.data() + cuts[c - 1], cuts[c] - cuts[c - 1]);
+    while (const std::optional<Frame> frame = decoder.next()) {
+      EXPECT_EQ(reencode(*frame, vars),
+                encodeFrame(frame->type, frame->payload.data(),
+                            frame->payload.size()));
+      ++frames;
+    }
+  }
+  return frames;
+}
+
+TEST(ServeProtocolProperty, MutatedFramesDecodeOrReject) {
+  common::Rng rng(0x5E7E);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  ClientStream base;
+  for (int m = 0; m < 4000; ++m) {
+    if (m % 100 == 0) {
+      // A fresh stream every 100 mutants; unmutated, it decodes whole.
+      base = randomClientStream(rng);
+      ASSERT_EQ(decodeStream(base.bytes, base.vars, rng), base.frames);
+    }
+    std::string bytes = base.bytes;
+    for (std::uint64_t k = rng.range(1, 3); k-- > 0;) {
+      mutate(bytes, base.length_fields, rng);
+    }
+    try {
+      decodeStream(bytes, base.vars, rng);
+      ++accepted;
+    } catch (const ProtocolError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << m << " threw a non-protocol error: "
+             << e.what();
+    }
+    ASSERT_FALSE(HasFailure()) << "mutant " << m;
+  }
+  // Both verdicts are exercised, so neither branch passes vacuously.
+  EXPECT_GT(accepted, 400u);
+  EXPECT_GT(rejected, 400u);
 }
 
 }  // namespace

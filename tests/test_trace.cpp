@@ -68,8 +68,9 @@ TEST(VariableSet, AddFindAndKinds) {
   EXPECT_EQ(vars.size(), 3u);
   EXPECT_EQ(vars.find("data"), 1);
   EXPECT_EQ(vars.find("nope"), -1);
-  EXPECT_EQ(vars.inputs(), (std::vector<int>{0, 1}));
-  EXPECT_EQ(vars.outputs(), (std::vector<int>{2}));
+  EXPECT_EQ(vars[0].kind, VarKind::Input);
+  EXPECT_EQ(vars[1].kind, VarKind::Input);
+  EXPECT_EQ(vars[2].kind, VarKind::Output);
   EXPECT_EQ(vars.inputBits(), 9u);
   EXPECT_EQ(vars.outputBits(), 8u);
   EXPECT_THROW(vars.add("en", 1, VarKind::Input), std::invalid_argument);
@@ -320,7 +321,7 @@ void expectReadError(Reader reader, const std::string& text) {
 
 TEST(TraceIoErrors, ReadErrorIsNotEndOfFile) {
   const auto streamAll = [](std::istream& is) {
-    runtime::StreamingTraceReader reader(is, {1});
+    runtime::StreamingTraceReader reader(is);
     std::vector<BitVector> row;
     while (reader.next(row)) {
     }
@@ -445,13 +446,13 @@ LoadOutcome loadBatch(const std::string& text) {
   return out;
 }
 
-/// Streams through one reused row, so every refill after the first
-/// decodes into storage that earlier rows left behind.
-LoadOutcome loadStreaming(const std::string& text, std::size_t chunk) {
+/// Streams through one reused row, so every row after the first decodes
+/// into storage that the row before it left behind.
+LoadOutcome loadStreaming(const std::string& text) {
   LoadOutcome out;
   std::istringstream is(text);
   try {
-    runtime::StreamingTraceReader reader(is, {chunk});
+    runtime::StreamingTraceReader reader(is);
     out.vars = reader.variables();
     std::vector<BitVector> row;
     while (reader.next(row)) out.rows.push_back(row);
@@ -528,7 +529,7 @@ TEST(TraceIoProperty, MutatedCsvLoadersAgree) {
     for (std::uint64_t k = 1 + rng() % 3; k-- > 0;) mutate(text, rng);
 
     const LoadOutcome batch = loadBatch(text);
-    const LoadOutcome streamed = loadStreaming(text, 3);
+    const LoadOutcome streamed = loadStreaming(text);
     ASSERT_EQ(batch.accepted, streamed.accepted)
         << "mutant " << m << ": batch '" << batch.error << "', streamed '"
         << streamed.error << "'";
@@ -547,8 +548,8 @@ TEST(TraceIoProperty, MutatedCsvLoadersAgree) {
   EXPECT_GT(rejected, 100u);
 }
 
-/// Asserts that the batch loader, the streaming reader at chunk 1 and at
-/// chunk 4096, and referenceRows all read `text` as the rows of `want`.
+/// Asserts that the batch loader, the streaming reader and referenceRows
+/// all read `text` as the rows of `want`.
 void expectLoadedAlike(const std::string& text, const FunctionalTrace& want,
                        const std::string& label) {
   std::vector<std::vector<BitVector>> rows;
@@ -557,11 +558,9 @@ void expectLoadedAlike(const std::string& text, const FunctionalTrace& want,
   ASSERT_TRUE(batch.accepted) << label << ": " << batch.error;
   EXPECT_EQ(batch.vars, want.variables()) << label;
   EXPECT_EQ(batch.rows, rows) << label;
-  for (const std::size_t chunk : {1u, 4096u}) {
-    const LoadOutcome streamed = loadStreaming(text, chunk);
-    ASSERT_TRUE(streamed.accepted) << label << ": " << streamed.error;
-    EXPECT_EQ(streamed.rows, rows) << label << ", chunk " << chunk;
-  }
+  const LoadOutcome streamed = loadStreaming(text);
+  ASSERT_TRUE(streamed.accepted) << label << ": " << streamed.error;
+  EXPECT_EQ(streamed.rows, rows) << label;
   EXPECT_EQ(referenceRows(text, want.variables()), rows) << label;
 }
 
