@@ -202,7 +202,7 @@ bool BitVector::any() const {
 
 unsigned BitVector::popcount() const {
   unsigned n = 0;
-  for (const std::uint64_t l : limbs()) n += static_cast<unsigned>(std::popcount(l));
+  for (const std::uint64_t l : limbs()) n += bitCount(l);
   return n;
 }
 
@@ -214,7 +214,7 @@ unsigned BitVector::hammingDistance(const BitVector& a, const BitVector& b) {
   const auto la = a.limbs();
   const auto lb = b.limbs();
   for (std::size_t i = 0; i < la.size(); ++i) {
-    n += static_cast<unsigned>(std::popcount(la[i] ^ lb[i]));
+    n += bitCount(la[i] ^ lb[i]);
   }
   return n;
 }

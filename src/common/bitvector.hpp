@@ -25,6 +25,16 @@
 
 namespace psmgen::common {
 
+/// Number of set bits of one limb, counted branch-free in registers (SWAR).
+/// std::popcount would compile to a call into the compiler runtime on an
+/// x86-64 target without the POPCNT instruction.
+inline unsigned bitCount(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+}
+
 class BitVector {
  public:
   /// Constructs a zero-width (empty) vector.

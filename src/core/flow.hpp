@@ -30,10 +30,11 @@ struct FlowConfig {
   SimOptions sim;
   /// Ablation knob (on for the paper's flow).
   bool apply_refine = true;
-  /// Threads for the embarrassingly parallel stages of build(): per-atom
-  /// mining statistics, per-trace proposition evaluation / XU-automaton
-  /// walk / chain simplification, the pairwise mergeability tests of
-  /// the join, and the per-state regression fits of the refinement.
+  /// Threads for the embarrassingly parallel stages of build(): the walk
+  /// over the training rows and the per-chunk signature numbering, the
+  /// per-trace XU-automaton walk / chain simplification, the pairwise
+  /// mergeability tests of the join, and the per-state regression fits of
+  /// the refinement.
   /// 0 = all hardware threads, 1 = the sequential seed path.
   /// The combined PSM is bit-identical for every value: parallel results
   /// land in per-index slots, proposition interning and merging stay in

@@ -76,7 +76,7 @@ Signature PropositionDomain::evalRow(
   return sig;
 }
 
-std::size_t PropositionDomain::slotOf(const Signature& sig) const {
+std::size_t SignatureIndex::slotOf(const Signature& sig) const {
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t i = sig.hash() & mask;; i = (i + 1) & mask) {
     const PropId id = slots_[i];
@@ -86,7 +86,7 @@ std::size_t PropositionDomain::slotOf(const Signature& sig) const {
   }
 }
 
-PropId PropositionDomain::intern(const Signature& sig) {
+PropId SignatureIndex::intern(const Signature& sig) {
   if (2 * (signatures_.size() + 1) > slots_.size()) {
     // Double the table and re-insert every id, in id order.
     slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), kNoProp);
@@ -102,7 +102,7 @@ PropId PropositionDomain::intern(const Signature& sig) {
   return slot;
 }
 
-PropId PropositionDomain::find(const Signature& sig) const {
+PropId SignatureIndex::find(const Signature& sig) const {
   return slots_.empty() ? kNoProp : slots_[slotOf(sig)];
 }
 
@@ -110,14 +110,9 @@ PropId PropositionDomain::internRow(const std::vector<common::BitVector>& row) {
   return intern(evalRow(row));
 }
 
-PropId PropositionDomain::findRow(
-    const std::vector<common::BitVector>& row) const {
-  return find(evalRow(row));
-}
-
 std::string PropositionDomain::describe(PropId id) const {
   if (id == kNoProp) return "<unknown>";
-  const Signature& sig = signatures_.at(id);
+  const Signature& sig = signature(id);
   std::string out;
   for (std::size_t i = 0; i < atoms_.size(); ++i) {
     if (!sig.get(i)) continue;

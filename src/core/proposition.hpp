@@ -66,6 +66,33 @@ class Signature {
   std::vector<std::uint64_t> words_;
 };
 
+/// Dense ids for distinct signatures, numbered in first-seen order.
+class SignatureIndex {
+ public:
+  /// Returns the id of `sig`, giving it the next id if new.
+  PropId intern(const Signature& sig);
+  /// Returns the id of `sig`, or kNoProp if never interned.
+  PropId find(const Signature& sig) const;
+
+  std::size_t size() const { return signatures_.size(); }
+  const Signature& signature(PropId id) const { return signatures_.at(id); }
+
+  /// Same signatures in the same id order.
+  bool operator==(const SignatureIndex& other) const {
+    return signatures_ == other.signatures_;
+  }
+
+ private:
+  /// The slot of `sig` in slots_: the one holding its id, or else the
+  /// empty slot where it belongs. slots_ must not be empty.
+  std::size_t slotOf(const Signature& sig) const;
+
+  std::vector<Signature> signatures_;
+  /// Open addressing with linear probing over a power-of-two table of
+  /// ids, kNoProp marking an empty slot, never more than half full.
+  std::vector<PropId> slots_;
+};
+
 class PropositionDomain {
  public:
   PropositionDomain(trace::VariableSet vars,
@@ -81,15 +108,14 @@ class PropositionDomain {
   Signature evalRow(const std::vector<common::BitVector>& row) const;
 
   /// Returns the PropId of a signature, creating it if new.
-  PropId intern(const Signature& sig);
+  PropId intern(const Signature& sig) { return index_.intern(sig); }
   /// Returns the PropId of a signature, or kNoProp if never interned.
-  PropId find(const Signature& sig) const;
+  PropId find(const Signature& sig) const { return index_.find(sig); }
 
   PropId internRow(const std::vector<common::BitVector>& row);
-  PropId findRow(const std::vector<common::BitVector>& row) const;
 
-  std::size_t size() const { return signatures_.size(); }
-  const Signature& signature(PropId id) const { return signatures_.at(id); }
+  std::size_t size() const { return index_.size(); }
+  const Signature& signature(PropId id) const { return index_.signature(id); }
 
   /// Human-readable rendering in the paper's style: the AND of the atoms
   /// that are true in the signature (e.g. "we=1 & ce=1").
@@ -102,21 +128,13 @@ class PropositionDomain {
   /// terms of this comparison.
   bool operator==(const PropositionDomain& other) const {
     return vars_ == other.vars_ && atoms_ == other.atoms_ &&
-           signatures_ == other.signatures_;
+           index_ == other.index_;
   }
 
  private:
-  /// The slot of `sig` in slots_: the one holding its id, or else the
-  /// empty slot where it belongs. slots_ must not be empty.
-  std::size_t slotOf(const Signature& sig) const;
-
   trace::VariableSet vars_;
   std::vector<AtomicProposition> atoms_;
-  std::vector<Signature> signatures_;
-  /// The index of signatures_ that intern() and find() share: open
-  /// addressing with linear probing over a power-of-two table of ids,
-  /// kNoProp marking an empty slot, never more than half full.
-  std::vector<PropId> slots_;
+  SignatureIndex index_;
 };
 
 /// A proposition trace (paper Def. 2): the proposition holding at each

@@ -21,10 +21,10 @@ struct CandidateFit {
 }  // namespace
 
 RefineReport refineDataDependentStates(
-    Psm& psm, const std::vector<trace::FunctionalTrace>& functional,
+    Psm& psm, const std::vector<std::vector<RowDistances>>& distances,
     const std::vector<trace::PowerTrace>& power, const RefineConfig& cfg,
     common::ThreadPool* pool) {
-  if (functional.size() != power.size()) {
+  if (distances.size() != power.size()) {
     throw std::invalid_argument("refine: trace vectors size mismatch");
   }
   std::vector<CandidateFit> fits;
@@ -46,14 +46,14 @@ RefineReport refineDataDependentStates(
     watts.reserve(rows);
     for (const Interval& iv : s.intervals) {
       if (iv.trace_id < 0 ||
-          static_cast<std::size_t>(iv.trace_id) >= functional.size()) {
+          static_cast<std::size_t>(iv.trace_id) >= distances.size()) {
         throw std::out_of_range("refine: interval references unknown trace");
       }
-      const auto& f = functional[static_cast<std::size_t>(iv.trace_id)];
+      const auto& d = distances[static_cast<std::size_t>(iv.trace_id)];
       const auto& p = power[static_cast<std::size_t>(iv.trace_id)];
       for (std::size_t t = iv.start; t <= iv.stop; ++t) {
-        hd_in.push_back(static_cast<double>(f.inputHammingDistance(t)));
-        hd_io.push_back(static_cast<double>(f.rowHammingDistance(t)));
+        hd_in.push_back(static_cast<double>(d.at(t).inputs));
+        hd_io.push_back(static_cast<double>(d.at(t).interface));
         watts.push_back(p.at(t));
       }
     }

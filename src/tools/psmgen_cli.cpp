@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -532,7 +533,8 @@ int runPredict(const Args& args) {
 
   // Reference samples are compared online so nothing scales with the
   // evaluation trace: the estimate is printed and folded into the MRE
-  // accumulator as each row leaves the streaming reader.
+  // accumulator as each row leaves the streaming reader. A reference that
+  // ends before the evaluation trace is refused at its first unscored row.
   std::vector<double> ref;
   if (!args.ref.empty()) {
     ref = trace::loadPowerTrace(args.ref).samples();
@@ -550,9 +552,14 @@ int runPredict(const Args& args) {
   std::printf("instant,power_w\n");
   const runtime::PredictorStats stats = predictor.predictStream(
       reader, [&](std::size_t t, double estimate) {
+        if (!args.ref.empty() && t >= ref.size()) {
+          throw std::invalid_argument(
+              "reference power trace has " + std::to_string(ref.size()) +
+              " samples, fewer than the instants of the evaluation trace");
+        }
         std::printf("%zu,%.9e\n", t, estimate);
         monitor.observe(predictor.lastRow(), estimate);
-        if (t < ref.size() && ref[t] != 0.0) {
+        if (!args.ref.empty() && ref[t] != 0.0) {
           mre_sum += std::abs(estimate - ref[t]) / ref[t];
           ++mre_n;
         }

@@ -1,6 +1,6 @@
 // Allocation counts of BitVector storage, of the batch CSV loader, of the
-// streaming CSV reader, of a trace's input Hamming distance, and of the
-// predictor's per-row step.
+// streaming CSV reader, of a trace's input Hamming distance, of the
+// characterization build, and of the predictor's per-row step.
 //
 // This executable replaces the global operator new and delete, array
 // forms included, with counting versions that forward to std::malloc and
@@ -22,6 +22,7 @@
 
 #include "common/bitvector.hpp"
 #include "common/rng.hpp"
+#include "core/flow.hpp"
 #include "core/psm_simulator.hpp"
 #include "runtime/streaming_reader.hpp"
 #include "trace/functional_trace.hpp"
@@ -175,6 +176,53 @@ TEST(Allocations, InputHammingDistanceAllocatesNothing) {
     }
     EXPECT_EQ(hd[r], expected) << "row " << r;
   }
+}
+
+/// A training pair whose 2-bit input "mode" steps through 0, 1, 2, 3 in 16
+/// stretches of rows / 16 rows, beside a random 8-bit input: the pair
+/// yields 16 raw states whatever its length.
+/// Power is 1 + mode, plus 0.5 per changed data bit in mode 3, whose
+/// state the refinement fits.
+std::pair<trace::FunctionalTrace, trace::PowerTrace> stretchPair(
+    std::size_t rows) {
+  trace::VariableSet vars;
+  vars.add("mode", 2, trace::VarKind::Input);
+  vars.add("data", 8, trace::VarKind::Input);
+  vars.add("busy", 1, trace::VarKind::Output);
+  std::pair<trace::FunctionalTrace, trace::PowerTrace> pair{
+      trace::FunctionalTrace(vars), trace::PowerTrace()};
+  common::Rng rng(5);
+  BitVector prev(8);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const unsigned mode = static_cast<unsigned>(r / (rows / 16) % 4);
+    BitVector data = rng.bits(8);
+    const unsigned hd = BitVector::hammingDistance(data, prev);
+    prev = data;
+    pair.first.append({BitVector(2, mode), std::move(data),
+                       BitVector(1, mode != 0)});
+    pair.second.append(1.0 + mode + (mode == 3 ? 0.5 * hd : 0.0));
+  }
+  return pair;
+}
+
+TEST(Allocations, BuildAllocatesNoBlockPerRow) {
+  // Ten times the rows in the same stretches: the build's extra blocks are
+  // per 2048-row chunk, never per row.
+  const auto buildAllocations = [](std::size_t rows) {
+    core::CharacterizationFlow flow;
+    auto [functional, power] = stretchPair(rows);
+    flow.addTrainingTrace(std::move(functional), std::move(power));
+    core::BuildReport report;
+    const std::size_t n = allocationsDuring([&] { report = flow.build(); });
+    EXPECT_EQ(report.raw_states, 16u) << rows << " rows";
+    EXPECT_EQ(report.refined_states, 1u) << rows << " rows";
+    return n;
+  };
+  const std::size_t small = buildAllocations(4096);
+  const std::size_t large = buildAllocations(40960);
+  EXPECT_GE(large, small);
+  EXPECT_LT(large - small, (40960 - 4096) / 64)
+      << small << " blocks for 4096 rows, " << large << " for 40960";
 }
 
 /// One 2-bit input "m" with one Eq atom per value: PropId k <=> m == k.

@@ -120,6 +120,25 @@ TEST(BitVector, HammingDistance) {
   EXPECT_THROW(BitVector::hammingDistance(a, BitVector(8)), std::invalid_argument);
 }
 
+TEST(BitVector, BitCountAgreesWithABitByBitCount) {
+  const auto slow = [](std::uint64_t x) {
+    unsigned n = 0;
+    for (unsigned b = 0; b < 64; ++b) n += (x >> b) & 1u;
+    return n;
+  };
+  EXPECT_EQ(bitCount(0), 0u);
+  EXPECT_EQ(bitCount(~std::uint64_t{0}), 64u);
+  for (unsigned b = 0; b < 64; ++b) {
+    EXPECT_EQ(bitCount(std::uint64_t{1} << b), 1u) << "bit " << b;
+    EXPECT_EQ(bitCount(~(std::uint64_t{1} << b)), 63u) << "bit " << b;
+  }
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t x = rng.next();
+    EXPECT_EQ(bitCount(x), slow(x)) << std::hex << x;
+  }
+}
+
 TEST(BitVector, RotlAndShifts) {
   BitVector v = BitVector::fromBinary("0011");
   EXPECT_EQ(v.rotl(1).toBinary(), "0110");

@@ -54,6 +54,19 @@ Interval appendRows(Training& tr, int id, std::size_t rows, double intercept,
   return {start, f.length() - 1, id};
 }
 
+/// Each training row's Hamming distances, as the flow's walk over the rows
+/// records them for the refinement.
+std::vector<std::vector<RowDistances>> distancesOf(const Training& tr) {
+  std::vector<std::vector<RowDistances>> out;
+  for (const trace::FunctionalTrace& f : tr.functional) {
+    std::vector<RowDistances>& d = out.emplace_back(f.length());
+    for (std::size_t t = 0; t < f.length(); ++t) {
+      d[t] = {f.inputHammingDistance(t), f.rowHammingDistance(t)};
+    }
+  }
+  return out;
+}
+
 /// A state whose power attributes are those of its intervals' samples.
 PowerState stateOver(const Training& tr, std::vector<Interval> intervals,
                      PropId p) {
@@ -103,7 +116,7 @@ TEST(Refine, FitsExactlyTheDataDependentStates) {
   ASSERT_GT(fx.psm.state(0).power.cv(), RefineConfig{}.min_cv);
   ASSERT_GT(fx.psm.state(1).power.cv(), RefineConfig{}.min_cv);
   const RefineReport report = refineDataDependentStates(
-      fx.psm, fx.tr.functional, fx.tr.power, RefineConfig{});
+      fx.psm, distancesOf(fx.tr), fx.tr.power, RefineConfig{});
   EXPECT_EQ(report.candidates, 2u);
   EXPECT_EQ(report.refined, 2u);
 
@@ -128,10 +141,10 @@ TEST(Refine, PoolGivesTheSequentialPsm) {
   ASSERT_TRUE(pooled.psm == sequential.psm);
   common::ThreadPool pool(4);
   const RefineReport a = refineDataDependentStates(
-      sequential.psm, sequential.tr.functional, sequential.tr.power,
+      sequential.psm, distancesOf(sequential.tr), sequential.tr.power,
       RefineConfig{});
   const RefineReport b = refineDataDependentStates(
-      pooled.psm, pooled.tr.functional, pooled.tr.power, RefineConfig{},
+      pooled.psm, distancesOf(pooled.tr), pooled.tr.power, RefineConfig{},
       &pool);
   EXPECT_TRUE(pooled.psm == sequential.psm);
   EXPECT_EQ(b.candidates, a.candidates);
@@ -147,7 +160,7 @@ TEST(Refine, UnknownTraceThrowsBeforeAnyStateChanges) {
     // The second candidate names trace 2 of two.
     fx.psm.state(1).intervals.push_back({0, 3, 2});
     const Psm before = fx.psm;
-    EXPECT_THROW(refineDataDependentStates(fx.psm, fx.tr.functional,
+    EXPECT_THROW(refineDataDependentStates(fx.psm, distancesOf(fx.tr),
                                            fx.tr.power, RefineConfig{}, p),
                  std::out_of_range)
         << (p == nullptr ? "no pool" : "pool");
