@@ -139,7 +139,8 @@ LintReport lintArtifact(const std::string& path, const LintOptions& options) {
     locus.detail = e.field();
     if (e.offset() != serialize::FormatError::kNoOffset) {
       locus.detail += (locus.detail.empty() ? "" : " ");
-      locus.detail += "@" + std::to_string(e.offset());
+      locus.detail += '@';
+      locus.detail += std::to_string(e.offset());
     }
     report.add(Finding{artifactCheckId(e.code()), Severity::Error,
                        std::move(locus), e.what(),

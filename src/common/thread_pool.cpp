@@ -1,6 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -18,14 +17,13 @@ thread_local int tls_worker_id = -1;
 
 struct ThreadPool::Job {
   std::size_t n = 0;
-  std::size_t grain = 1;
   const std::function<void(std::size_t)>* body = nullptr;
   ThreadPool* pool = nullptr;
 
   std::atomic<std::size_t> cursor{0};  ///< next index to hand out
   std::atomic<std::size_t> done{0};    ///< iterations finished
 
-  // Progress bookkeeping (active participants, first failing chunk) lives
+  // Progress bookkeeping (active participants, first failing index) lives
   // on the pool itself, guarded by pool->mutex_: only one job runs at a
   // time (the generation protocol enforces it), and pool members let the
   // thread-safety analysis match the guard expression at every access.
@@ -56,29 +54,23 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::runChunks(Job& job, unsigned participant) {
+void ThreadPool::runIterations(Job& job, unsigned participant) {
   const auto t0 = std::chrono::steady_clock::now();
   StatsSlot& slot = job.pool->stats_[participant];
   while (true) {
-    const std::size_t begin =
-        job.cursor.fetch_add(job.grain, std::memory_order_relaxed);
-    if (begin >= job.n) break;
-    const std::size_t end = std::min(job.n, begin + job.grain);
-    slot.chunks.fetch_add(1, std::memory_order_relaxed);
-    slot.iterations.fetch_add(end - begin, std::memory_order_relaxed);
+    const std::size_t i = job.cursor.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) break;
+    slot.iterations.fetch_add(1, std::memory_order_relaxed);
     try {
-      for (std::size_t i = begin; i < end; ++i) (*job.body)(i);
+      (*job.body)(i);
     } catch (...) {
       MutexLock lock(job.pool->mutex_);
-      if (begin < job.pool->error_chunk_) {
-        job.pool->error_chunk_ = begin;
+      if (i < job.pool->error_index_) {
+        job.pool->error_index_ = i;
         job.pool->error_ = std::current_exception();
       }
     }
-    const std::size_t finished =
-        job.done.fetch_add(end - begin, std::memory_order_acq_rel) +
-        (end - begin);
-    if (finished == job.n) {
+    if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.n) {
       // Completion may be observed by a worker, not the caller: wake it.
       MutexLock lock(job.pool->mutex_);
       job.pool->done_cv_.notify_all();
@@ -110,7 +102,7 @@ void ThreadPool::workerLoop(unsigned worker_id) {
     Job& job = *job_;
     ++active_;
     mutex_.unlock();
-    runChunks(job, worker_id);
+    runIterations(job, worker_id);
     mutex_.lock();
     --active_;
     done_cv_.notify_all();
@@ -120,7 +112,6 @@ void ThreadPool::workerLoop(unsigned worker_id) {
 std::vector<ThreadPool::WorkerStats> ThreadPool::workerStats() const {
   std::vector<WorkerStats> out(stats_.size());
   for (std::size_t i = 0; i < stats_.size(); ++i) {
-    out[i].chunks = stats_[i].chunks.load(std::memory_order_relaxed);
     out[i].iterations = stats_[i].iterations.load(std::memory_order_relaxed);
     out[i].busy_seconds =
         static_cast<double>(
@@ -130,44 +121,33 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::workerStats() const {
   return out;
 }
 
-std::size_t ThreadPool::queueDepth() const {
-  MutexLock lock(mutex_);
-  if (job_ == nullptr) return 0;
-  const std::size_t handed =
-      std::min(job_->n, job_->cursor.load(std::memory_order_relaxed));
-  return job_->n - handed;
-}
-
 void ThreadPool::parallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& body,
-                             std::size_t grain) {
+                             const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  grain = std::max<std::size_t>(1, grain);
-  if (workers_.empty() || n <= grain || tls_inside_worker) {
+  if (workers_.empty() || n == 1 || tls_inside_worker) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
   Job job;
   job.n = n;
-  job.grain = grain;
   job.body = &body;
   job.pool = this;
   {
     MutexLock lock(mutex_);
     job_ = &job;
     ++generation_;
-    error_chunk_ = std::numeric_limits<std::size_t>::max();
+    error_index_ = std::numeric_limits<std::size_t>::max();
     error_ = nullptr;
   }
   jobs_executed_.fetch_add(1, std::memory_order_relaxed);
   work_cv_.notify_all();
-  runChunks(job, /*participant=*/0);
+  runIterations(job, /*participant=*/0);
 
   mutex_.lock();
   // Wait for the last iteration *and* for every worker to step out of the
   // job before it goes out of scope (a worker that lost the race for the
-  // final chunk may still be touching the cursor).
+  // final index may still be touching the cursor).
   while (!(job.done.load(std::memory_order_acquire) == job.n &&
            active_ == 0)) {
     done_cv_.wait(mutex_);
@@ -180,13 +160,12 @@ void ThreadPool::parallelFor(std::size_t n,
 }
 
 void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain) {
+                  const std::function<void(std::size_t)>& body) {
   if (pool == nullptr) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  pool->parallelFor(n, body, grain);
+  pool->parallelFor(n, body);
 }
 
 }  // namespace psmgen::common

@@ -2,13 +2,13 @@
 // Fixed-size, work-stealing-free thread pool with a blocking parallel-for.
 //
 // The pool exists to parallelize the embarrassingly parallel stages of the
-// characterization flow (per-atom mining statistics, per-trace proposition
-// evaluation / PSM generation / chain simplification, per-representative
-// mergeability tests). Those stages share one shape: N independent
+// characterization flow (the mining walk over row chunks, per-chunk
+// signature numbering, per-trace PSM generation / chain simplification,
+// per-state regression fits). Those stages share one shape: N independent
 // iterations whose results land in pre-sized output slots, so the combined
 // result is independent of task completion order. parallelFor() is the
-// only scheduling primitive: iterations are handed out as contiguous index
-// chunks from a shared atomic cursor — no per-thread deques, no stealing.
+// only scheduling primitive: iterations are handed out one index at a
+// time from a shared atomic cursor — no per-thread deques, no stealing.
 //
 // Determinism contract: a pool constructed with one thread runs every
 // parallelFor inline on the caller, in index order — byte-for-byte the
@@ -43,11 +43,10 @@ class ThreadPool {
 
   /// Per-participant counters, indexed 0 (the parallelFor caller) to
   /// threadCount()-1 (workers). busy_seconds is wall time spent running
-  /// chunks; utilization of a build is sum(busy) / (elapsed * threads).
+  /// iterations; utilization of a build is sum(busy) / (elapsed * threads).
   struct WorkerStats {
-    std::uint64_t chunks = 0;      ///< chunk claims that ran iterations
     std::uint64_t iterations = 0;  ///< body invocations
-    double busy_seconds = 0.0;     ///< wall time inside runChunks
+    double busy_seconds = 0.0;     ///< wall time inside runIterations
   };
 
   /// Spawns resolveThreads(num_threads) - 1 worker threads (the caller of
@@ -62,7 +61,7 @@ class ThreadPool {
   unsigned threadCount() const { return thread_count_; }
 
   /// Snapshot of every participant's counters (index 0 = caller slot).
-  /// Only the inline fast path of parallelFor (single thread / tiny n /
+  /// Only the inline fast path of parallelFor (single thread / n == 1 /
   /// nested call) bypasses these counters.
   std::vector<WorkerStats> workerStats() const;
 
@@ -71,23 +70,17 @@ class ThreadPool {
     return jobs_executed_.load(std::memory_order_relaxed);
   }
 
-  /// Iterations of the currently running job not yet handed out; 0 when
-  /// the pool is idle. A sampling gauge, inherently approximate.
-  std::size_t queueDepth() const EXCLUDES(mutex_);
-
   /// Runs body(i) for every i in [0, n) and blocks until all iterations
-  /// completed. Iterations are dealt out in chunks of `grain` consecutive
-  /// indices. Runs inline (sequential, in index order) when the pool has
-  /// one thread, when n <= grain, or when called from inside a pool worker
+  /// completed. Runs inline (sequential, in index order) when the pool has
+  /// one thread, when n == 1, or when called from inside a pool worker
   /// (nested parallelism would deadlock a fixed pool, so it degrades to a
   /// plain loop).
   ///
-  /// Exceptions: every chunk runs to completion even if another chunk
-  /// throws; afterwards the exception of the lowest-indexed failing chunk
-  /// is rethrown on the caller. With grain == 1 this makes the observed
-  /// exception deterministic regardless of thread count.
-  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
-                   std::size_t grain = 1) EXCLUDES(mutex_);
+  /// Exceptions: every iteration runs to completion even if another one
+  /// throws; afterwards the exception of the lowest failing index is
+  /// rethrown on the caller, whatever the thread count.
+  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& body)
+      EXCLUDES(mutex_);
 
  private:
   struct Job;
@@ -95,13 +88,12 @@ class ThreadPool {
   /// Per-participant stats slot; written only by the owning participant,
   /// read by workerStats().
   struct StatsSlot {
-    std::atomic<std::uint64_t> chunks{0};
     std::atomic<std::uint64_t> iterations{0};
     std::atomic<std::uint64_t> busy_nanos{0};
   };
 
   void workerLoop(unsigned worker_id);
-  static void runChunks(Job& job, unsigned participant);
+  static void runIterations(Job& job, unsigned participant);
 
   unsigned thread_count_ = 1;
   std::vector<std::thread> workers_;
@@ -113,26 +105,25 @@ class ThreadPool {
   //   generation_  bumped once per published job; workers compare it to
   //                their last-seen value to detect fresh work
   //   stop_        destructor shutdown flag
-  //   active_      participants currently inside runChunks; parallelFor
-  //                may not retire the job until this drops to 0
-  //   error_chunk_ / error_   lowest failing chunk of the current job and
+  //   active_      participants currently inside runIterations;
+  //                parallelFor may not retire the job until this drops to 0
+  //   error_index_ / error_   lowest failing index of the current job and
   //                its exception (rethrown on the caller)
   // Iteration hand-out (Job::cursor/done) is deliberately lock-free.
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar work_cv_;  ///< workers wait here for a new job
   CondVar done_cv_;  ///< parallelFor waits here for completion
   Job* job_ GUARDED_BY(mutex_) = nullptr;
   std::uint64_t generation_ GUARDED_BY(mutex_) = 0;
   bool stop_ GUARDED_BY(mutex_) = false;
   std::size_t active_ GUARDED_BY(mutex_) = 0;
-  std::size_t error_chunk_ GUARDED_BY(mutex_) = 0;
+  std::size_t error_index_ GUARDED_BY(mutex_) = 0;
   std::exception_ptr error_ GUARDED_BY(mutex_);
 };
 
 /// Convenience wrapper used by the flow: runs body(i) for i in [0, n),
 /// inline when `pool` is nullptr (the sequential / num_threads == 1 path).
 void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
+                  const std::function<void(std::size_t)>& body);
 
 }  // namespace psmgen::common

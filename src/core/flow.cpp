@@ -8,13 +8,9 @@
 
 #include "common/thread_pool.hpp"
 #include "core/generator.hpp"
+#include "obs/obs.hpp"
 
 namespace psmgen::core {
-
-CharacterizationFlow::CharacterizationFlow(FlowConfig config)
-    : config_(std::move(config)) {
-  if (config_.obs.any()) obs::configure(config_.obs);
-}
 
 void CharacterizationFlow::addTrainingTrace(trace::FunctionalTrace functional,
                                             trace::PowerTrace power) {
@@ -51,13 +47,11 @@ BuildReport CharacterizationFlow::build() {
 
   // III-A: mine the shared proposition domain in one walk over the rows,
   // which also leaves each row's candidate truth words and its Hamming
-  // distances. The flow-level knob governs every stage, including mining.
+  // distances.
   MinedRows mined;
   {
     obs::PhaseScope phase("mine");
-    MinerConfig miner_config = config_.miner;
-    miner_config.num_threads = config_.num_threads;
-    AssertionMiner miner(miner_config);
+    AssertionMiner miner(config_.miner);
     std::vector<const trace::FunctionalTrace*> views;
     views.reserve(functional_.size());
     for (const auto& f : functional_) views.push_back(&f);
@@ -137,7 +131,7 @@ BuildReport CharacterizationFlow::build() {
   }
   {
     obs::PhaseScope phase("join");
-    combined_ = join(std::move(chains), config_.merge, pool);
+    combined_ = join(std::move(chains), config_.merge);
   }
 
   // IV: regression refinement of data-dependent states.
@@ -178,7 +172,6 @@ BuildReport CharacterizationFlow::build() {
     for (std::size_t i = 0; i < stats.size(); ++i) {
       const std::string base = "pool.worker." + std::to_string(i) + ".";
       reg.gauge(base + "busy_seconds").set(stats[i].busy_seconds);
-      reg.gauge(base + "chunks").set(static_cast<double>(stats[i].chunks));
       reg.gauge(base + "iterations")
           .set(static_cast<double>(stats[i].iterations));
       busy += stats[i].busy_seconds;

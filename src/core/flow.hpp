@@ -11,13 +11,13 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/merge.hpp"
 #include "core/miner.hpp"
 #include "core/psm_simulator.hpp"
 #include "core/refine.hpp"
-#include "obs/obs.hpp"
 #include "trace/functional_trace.hpp"
 #include "trace/power_trace.hpp"
 
@@ -32,21 +32,13 @@ struct FlowConfig {
   bool apply_refine = true;
   /// Threads for the embarrassingly parallel stages of build(): the walk
   /// over the training rows and the per-chunk signature numbering, the
-  /// per-trace XU-automaton walk / chain simplification, the pairwise
-  /// mergeability tests of the join, and the per-state regression fits of
-  /// the refinement.
+  /// per-trace XU-automaton walk / chain simplification, and the
+  /// per-state regression fits of the refinement.
   /// 0 = all hardware threads, 1 = the sequential seed path.
   /// The combined PSM is bit-identical for every value: parallel results
   /// land in per-index slots, proposition interning and merging stay in
-  /// fixed index order. (Overrides miner.num_threads inside build().)
+  /// fixed index order.
   unsigned num_threads = 1;
-  /// Observability for library embedders: when any field is non-default,
-  /// the CharacterizationFlow constructor applies these options to the
-  /// process-global obs layer (obs::configure). The CLI and bench set the
-  /// global layer themselves and leave this at the default. Enabling
-  /// observability never changes pipeline results — only what is
-  /// reported about them.
-  obs::Options obs;
 };
 
 struct BuildReport {
@@ -62,7 +54,8 @@ struct BuildReport {
 
 class CharacterizationFlow {
  public:
-  explicit CharacterizationFlow(FlowConfig config = {});
+  explicit CharacterizationFlow(FlowConfig config = {})
+      : config_(std::move(config)) {}
 
   /// Registers one training pair. All functional traces must share a
   /// variable set; the power trace must be at least as long.

@@ -17,9 +17,9 @@ double MergePolicy::epsilonFor(const PowerAttr& a, const PowerAttr& b) const {
 namespace {
 
 /// Accept/reject counters of one mergeability test kind. Handles are
-/// resolved once (mergeable() runs per candidate pair inside the join's
-/// parallel loops); a decision while observability is disabled costs one
-/// relaxed load + branch.
+/// resolved once (mergeable() runs per candidate pair, in the per-trace
+/// simplify tasks on the pool and in the join); a decision while
+/// observability is disabled costs one relaxed load + branch.
 struct TestKindCounters {
   obs::Counter& accepted;
   obs::Counter& rejected;
@@ -38,13 +38,12 @@ struct TestKindCounters {
 
 bool mergeable(const PowerAttr& a, const PowerAttr& b, const MergePolicy& pol) {
   // Per-kind decision tallies (Sec. IV-A Cases 1-3 plus the documented
-  // span/cv guards and the designer-tolerance extension).
+  // span guard and the designer-tolerance extension).
   static TestKindCounters epsilon_counters("epsilon");
   static TestKindCounters welch_counters("welch");
   static TestKindCounters one_sample_counters("one_sample");
   static obs::Counter& span_vetoes =
       obs::metrics().counter("merge.test.span_veto");
-  static obs::Counter& cv_vetoes = obs::metrics().counter("merge.test.cv_veto");
 
   if (a.n == 0 || b.n == 0) return false;
   const double eps = pol.epsilonFor(a, b);
@@ -62,12 +61,6 @@ bool mergeable(const PowerAttr& a, const PowerAttr& b, const MergePolicy& pol) {
 
   // Case 1: two next-pattern states.
   if (a.n == 1 && b.n == 1) return epsilon_counters.decide(dmu < eps);
-
-  // "Low sigma" precondition for until-states.
-  if ((a.n > 1 && a.cv() > pol.max_cv) || (b.n > 1 && b.cv() > pol.max_cv)) {
-    cv_vetoes.add(1);
-    return false;
-  }
 
   // Designer tolerance (documented extension; see header).
   if (dmu <= eps) return epsilon_counters.decide(true);
@@ -278,8 +271,7 @@ double rangeGap(const PowerAttr& a, const PowerAttr& b) {
 
 }  // namespace
 
-Psm join(std::vector<Psm> psms, const MergePolicy& pol,
-         common::ThreadPool* pool) {
+Psm join(std::vector<Psm> psms, const MergePolicy& pol) {
   Psm merged = disjointUnion(std::move(psms));
   if (merged.stateCount() == 0) return merged;
 
@@ -304,19 +296,11 @@ Psm join(std::vector<Psm> psms, const MergePolicy& pol,
   std::vector<char> alive(merged.stateCount(), 1);
 
   // Representative-based clustering: each surviving state is tested
-  // against the bucket's current cluster representatives; repeated until
-  // a pass makes no change (pooled attributes move as clusters grow, so
-  // one pass is not always enough).
-  //
-  // The member loop itself is inherently sequential (every absorption
-  // mutates the representative's pooled attributes, which later tests
-  // observe), but the mergeability tests of one member against the
-  // current representatives are pure and independent: they fan out over
-  // the pool, and taking the lowest-indexed fitting representative
-  // reproduces the sequential first-fit scan exactly. Small rep sets stay
-  // inline — a t-test costs far less than waking the pool.
-  constexpr std::size_t kParallelRepThreshold = 128;
-  std::vector<char> rep_fits;
+  // against the bucket's current cluster representatives and joins the
+  // first that fits; repeated until a pass makes no change (pooled
+  // attributes move as clusters grow, so one pass is not always enough).
+  // The scan is sequential: every absorption mutates the representative's
+  // pooled attributes, which later tests observe.
   auto cluster = [&](const std::vector<std::size_t>& members, auto&& fits) {
     bool changed = true;
     while (changed) {
@@ -325,30 +309,11 @@ Psm join(std::vector<Psm> psms, const MergePolicy& pol,
       for (const std::size_t m : members) {
         if (!alive[m]) continue;
         std::size_t hit = reps.size();
-        if (pool != nullptr && reps.size() >= kParallelRepThreshold) {
-          rep_fits.assign(reps.size(), 0);
-          pool->parallelFor(
-              reps.size(),
-              [&](std::size_t r) {
-                rep_fits[r] = fits(merged.state(static_cast<StateId>(reps[r])),
-                                   merged.state(static_cast<StateId>(m)))
-                                  ? 1
-                                  : 0;
-              },
-              /*grain=*/16);
-          for (std::size_t r = 0; r < reps.size(); ++r) {
-            if (rep_fits[r]) {
-              hit = r;
-              break;
-            }
-          }
-        } else {
-          for (std::size_t r = 0; r < reps.size(); ++r) {
-            if (fits(merged.state(static_cast<StateId>(reps[r])),
-                     merged.state(static_cast<StateId>(m)))) {
-              hit = r;
-              break;
-            }
+        for (std::size_t r = 0; r < reps.size(); ++r) {
+          if (fits(merged.state(static_cast<StateId>(reps[r])),
+                   merged.state(static_cast<StateId>(m)))) {
+            hit = r;
+            break;
           }
         }
         if (hit < reps.size()) {

@@ -17,15 +17,14 @@
 //   Case 1  n_i = n_j = 1      : |mu_i - mu_j| < epsilon
 //   Case 2  n_i > 1, n_j > 1   : Welch's t-test
 //   Case 3  n_i > 1, n_j = 1   : one-sample t-test of mu_j against i
-// plus the paper's informal precondition that the standard deviations be
-// "low": states whose coefficient of variation exceeds `max_cv` are left
-// alone (they are data-dependent candidates for the regression
-// refinement). As a practical extension (documented in DESIGN.md), a
-// designer tolerance also applies to Cases 2/3: with very large n the
-// t-test rejects physically irrelevant mean differences, so states whose
-// means differ by less than epsilon merge regardless of the p-value.
+// The paper's informal precondition that the standard deviations be "low"
+// is not a gate: Welch's test decides, which merges same-mean states of
+// high variance (data-dependent states, later refined by regression). As
+// a practical extension (documented in DESIGN.md), a designer tolerance
+// also applies to Cases 2/3: with very large n the t-test rejects
+// physically irrelevant mean differences, so states whose means differ by
+// less than epsilon merge regardless of the p-value.
 
-#include "common/thread_pool.hpp"
 #include "core/psm.hpp"
 #include "stats/ttest.hpp"
 
@@ -38,12 +37,6 @@ struct MergePolicy {
   double epsilon_rel = 0.03;
   /// Significance level: states merge when the t-test p-value exceeds it.
   double alpha = 1e-4;
-  /// Optional "low sigma" gate: until-states whose coefficient of
-  /// variation exceeds this never merge. Off (infinite) by default: the
-  /// Welch test already merges same-mean/high-variance (data-dependent)
-  /// states, which is required for compact PSMs; the gate exists as an
-  /// ablation knob to keep data-dependent states separate.
-  double max_cv = 1e18;
   /// Bound on the relative spread of interval means a merged state may
   /// cover: merging a and b is vetoed when
   /// (max_mean - min_mean) / |pooled mean| would exceed this. Pairwise
@@ -77,14 +70,10 @@ std::size_t simplify(Psm& psm, const MergePolicy& pol);
 
 /// Joins a set of simplified PSMs into one PSM with one initial state per
 /// input chain (merged initials accumulate initial_count). Runs the
-/// cross-PSM merge to fixpoint. A non-null pool parallelizes the pairwise
-/// mergeability tests of each state against the cluster representatives;
-/// the merge order (and thus the joined PSM) is identical to the
-/// sequential run because the lowest-indexed fitting representative is
-/// chosen regardless of which test finishes first. The input states move
-/// into the result; pass the PSMs by std::move when they are not needed
-/// afterwards.
-Psm join(std::vector<Psm> psms, const MergePolicy& pol,
-         common::ThreadPool* pool = nullptr);
+/// cross-PSM merge to fixpoint: each state is tested, in state order,
+/// against its bucket's cluster representatives and joins the first that
+/// fits. The input states move into the result; pass the PSMs by
+/// std::move when they are not needed afterwards.
+Psm join(std::vector<Psm> psms, const MergePolicy& pol);
 
 }  // namespace psmgen::core

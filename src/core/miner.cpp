@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -274,13 +273,6 @@ MinedRows AssertionMiner::mine(
     const std::vector<const trace::FunctionalTrace*>& traces,
     common::ThreadPool* pool) const {
   checkTraces(traces);
-  std::unique_ptr<common::ThreadPool> local_pool;
-  if (pool == nullptr &&
-      common::ThreadPool::resolveThreads(config_.num_threads) > 1) {
-    local_pool = std::make_unique<common::ThreadPool>(config_.num_threads);
-    pool = local_pool.get();
-  }
-
   MinedRows mined;
   {
     obs::Span span("miner.candidates", "miner");
@@ -372,14 +364,6 @@ MinedRows AssertionMiner::mine(
                              {"dropped_spiky", dropped_spiky},
                              {"rows", total}});
   return mined;
-}
-
-PropositionDomain AssertionMiner::buildDomain(
-    const std::vector<const trace::FunctionalTrace*>& traces,
-    common::ThreadPool* pool) const {
-  checkTraces(traces);
-  return PropositionDomain(traces.front()->variables(),
-                           mine(traces, pool).atoms);
 }
 
 PropositionTrace AssertionMiner::tracePropositions(

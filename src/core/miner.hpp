@@ -56,12 +56,6 @@ struct MinerConfig {
   double max_singleton_run_fraction = 0.25;
   /// Mine "var = 0" atoms for wide variables even when 0 is not frequent.
   bool mine_zero = true;
-  /// Threads used for candidate extraction and the walk over the rows
-  /// when the caller does not hand in a pool: 0 = all hardware threads,
-  /// 1 = the sequential seed path. Mined atoms are independent of the
-  /// thread count (per-variable / per-chunk results land in pre-sized
-  /// slots and are combined in index order).
-  unsigned num_threads = 1;
 };
 
 /// Support / toggle / run-structure counters of one candidate atom over
@@ -151,15 +145,12 @@ class AssertionMiner {
   explicit AssertionMiner(MinerConfig config = {}) : config_(config) {}
 
   /// Phase 1 over the union of all training traces, which must share one
-  /// variable set, in one walk over their rows on the pool. When `pool` is
-  /// null, a private pool honouring config.num_threads is used.
+  /// variable set, in one walk over their rows on the pool (sequentially
+  /// when `pool` is null). The mined atoms do not depend on the pool:
+  /// per-variable and per-chunk results land in pre-sized slots and are
+  /// combined in index order.
   MinedRows mine(const std::vector<const trace::FunctionalTrace*>& traces,
                  common::ThreadPool* pool = nullptr) const;
-
-  /// Builds the shared proposition domain from the mined atoms.
-  PropositionDomain buildDomain(
-      const std::vector<const trace::FunctionalTrace*>& traces,
-      common::ThreadPool* pool = nullptr) const;
 
   /// Phase 2: proposition trace of one functional trace, interning any new
   /// signatures into the domain.

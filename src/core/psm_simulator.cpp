@@ -7,6 +7,7 @@
 #include <string>
 
 #include "obs/obs.hpp"
+#include "trace/trace_io.hpp"
 
 namespace psmgen::core {
 
@@ -472,7 +473,17 @@ bool PsmSimulator::Session::tryCheckpoint() {
   return ok;
 }
 
+void PsmSimulator::checkVariables(const trace::VariableSet& vars) const {
+  if (vars == domain_->variables()) return;
+  throw std::invalid_argument(
+      "PsmSimulator: the model declares '" +
+      trace::formatVariableDeclaration(domain_->variables()) +
+      "', but the trace declares '" + trace::formatVariableDeclaration(vars) +
+      "'");
+}
+
 SimResult PsmSimulator::simulate(const trace::FunctionalTrace& trace) const {
+  checkVariables(trace.variables());
   obs::Span span("sim.simulate", "sim");
   Session session = startSession();
   SimResult result;

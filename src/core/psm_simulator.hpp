@@ -270,7 +270,13 @@ class PsmSimulator {
 
   Session startSession() const { return Session(*this); }
 
-  /// Batch simulation of a whole functional trace.
+  /// Throws std::invalid_argument, naming both declarations, unless `vars`
+  /// is the model's variable set: the same names, kinds and widths in the
+  /// same order. A row only carries values, so a trace that declares the
+  /// model's variables in another order would be scored without an error.
+  void checkVariables(const trace::VariableSet& vars) const;
+
+  /// Batch simulation of a whole functional trace; checkVariables() first.
   SimResult simulate(const trace::FunctionalTrace& trace) const;
 
   const Psm& psm() const { return *psm_; }

@@ -36,9 +36,6 @@ class XuAutomaton {
   /// Fig. 5 example where p_d closes p_c X p_d).
   std::optional<MinedAssertion> next();
 
-  /// Restarts from the beginning of the trace.
-  void rewind() { idx_ = 0; }
-
  private:
   PropId at(std::size_t i) const {
     return i < gamma_->length() ? gamma_->at(i) : kNoProp;

@@ -2,7 +2,7 @@
 // Umbrella header for the observability layer: structured logging
 // (obs/log.hpp), the metrics registry (obs/metrics.hpp) and scoped-span
 // tracing (obs/trace_span.hpp), plus the configuration surface shared by
-// the CLI, the bench harness and library embedders (FlowConfig::obs).
+// the CLI, the bench harness and library embedders (obs::configure).
 //
 // The layer is process-global and disabled by default; with everything
 // disabled the instrumentation sprinkled through the pipeline reduces to
@@ -45,13 +45,6 @@ struct Options {
   std::string metrics_out;
   /// Written by flushOutputs(): Chrome trace_event JSON.
   std::string trace_out;
-
-  /// True when any field differs from the all-disabled default.
-  bool any() const {
-    return log_level != LogLevel::Warn ||
-           log_format != Logger::Format::KeyValue || metrics || tracing ||
-           !metrics_out.empty() || !trace_out.empty();
-  }
 };
 
 /// Applies `options` to the global layer (level/format on the logger,

@@ -87,6 +87,7 @@ double OnlinePredictor::predictRow(const std::vector<common::BitVector>& row) {
 PredictorStats OnlinePredictor::predictStream(
     StreamingTraceReader& reader,
     const std::function<void(std::size_t, double)>& sink) {
+  sim_.checkVariables(reader.variables());
   reset();
   obs::Span span("predict.stream", "predict");
   const auto t0 = std::chrono::steady_clock::now();
@@ -118,6 +119,7 @@ PredictorStats OnlinePredictor::predictStream(
 
 std::vector<double> OnlinePredictor::predictTrace(
     const trace::FunctionalTrace& trace) {
+  sim_.checkVariables(trace.variables());
   reset();
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<double> out;

@@ -74,14 +74,17 @@ class OnlinePredictor {
   /// Streams every row of `reader` through a fresh stream; `sink` (may be
   /// empty) receives (row index, estimate) as rows are consumed — nothing
   /// is accumulated, so memory stays bounded by one row and the reader's
-  /// block. Returns the stream's final counters.
+  /// block. Returns the stream's final counters. Throws
+  /// std::invalid_argument before the first row when the reader's
+  /// variable set is not the model's (PsmSimulator::checkVariables).
   PredictorStats predictStream(
       StreamingTraceReader& reader,
       const std::function<void(std::size_t, double)>& sink = {});
 
   /// In-memory batch convenience: predicts a whole trace on a fresh
   /// stream and returns the per-instant estimates (identical to
-  /// PsmSimulator::simulate(trace).estimate).
+  /// PsmSimulator::simulate(trace).estimate). Refuses a trace whose
+  /// variable set is not the model's, as predictStream() does.
   std::vector<double> predictTrace(const trace::FunctionalTrace& trace);
 
  private:

@@ -80,7 +80,6 @@ class Session {
 
   State state() const { return state_; }
   const runtime::PredictorStats& stats() const { return predictor_.stats(); }
-  runtime::DriftStatus driftStatus() const { return monitor_.status(); }
   /// Rows predicted by this session (streamed, not yet summarized).
   std::size_t rows() const { return rows_; }
 

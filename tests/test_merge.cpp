@@ -109,13 +109,6 @@ TEST(Mergeable, SpanGuardVetoesChains) {
   EXPECT_FALSE(mergeable(wide, PowerAttr::single(12.0, 5.0, 100), pol));
 }
 
-TEST(Mergeable, MaxCvGateWhenEnabled) {
-  MergePolicy pol;
-  pol.max_cv = 0.1;
-  EXPECT_FALSE(mergeable(PowerAttr::single(10.0, 3.0, 50),
-                         PowerAttr::single(10.0, 3.0, 50), pol));
-}
-
 TEST(Simplify, FusesAdjacentSimilarStates) {
   // idle(1.0) -> idle2(1.01) -> busy(5.0): the two idles fuse.
   Psm psm = makeChain({{0, 1, true, 1.0, 0.05, 50},

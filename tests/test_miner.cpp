@@ -387,8 +387,9 @@ TEST(MinerWalk, FlowInternsAsRowByRowInTraceOrder) {
   }
   std::vector<const trace::FunctionalTrace*> views;
   for (const WalkPair& pair : pairs) views.push_back(&pair.functional);
-  PropositionDomain reference =
-      AssertionMiner(permissiveConfig()).buildDomain(views);
+  PropositionDomain reference(
+      views.front()->variables(),
+      AssertionMiner(permissiveConfig()).mine(views).atoms);
   for (const WalkPair& pair : pairs) {
     AssertionMiner::tracePropositions(reference, pair.functional);
   }
@@ -413,7 +414,7 @@ TEST(Domain, InterningIsStable) {
   MinerConfig cfg;
   cfg.max_toggle_rate = 1.0;
   AssertionMiner miner(cfg);
-  PropositionDomain domain = miner.buildDomain({&t});
+  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
   const PropId p0 = domain.internRow(t.step(0));
   const PropId p0_again = domain.internRow(t.step(0));
   EXPECT_EQ(p0, p0_again);
@@ -430,7 +431,7 @@ TEST(Domain, FindDoesNotIntern) {
   cfg.max_toggle_rate = 1.0;
   cfg.max_singleton_run_fraction = 1.0;
   AssertionMiner miner(cfg);
-  PropositionDomain domain = miner.buildDomain({&t});
+  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
   EXPECT_EQ(domain.find(domain.evalRow(t.step(0))), kNoProp);
   EXPECT_EQ(domain.size(), 0u);
   domain.internRow(t.step(0));
@@ -451,7 +452,7 @@ TEST(Domain, ExactlyOnePropositionPerInstant) {
   cfg.max_toggle_rate = 1.0;
   cfg.max_singleton_run_fraction = 1.0;
   AssertionMiner miner(cfg);
-  PropositionDomain domain = miner.buildDomain({&t});
+  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
   const PropositionTrace gamma = AssertionMiner::tracePropositions(domain, t);
   ASSERT_EQ(gamma.length(), t.length());
   for (std::size_t i = 0; i < t.length(); ++i) {
@@ -531,7 +532,7 @@ TEST(Domain, DescribeListsTrueAtoms) {
   cfg.max_toggle_rate = 1.0;
   cfg.max_singleton_run_fraction = 1.0;
   AssertionMiner miner(cfg);
-  PropositionDomain domain = miner.buildDomain({&t});
+  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
   const PropId p = domain.internRow(t.step(0));
   const std::string desc = domain.describe(p);
   EXPECT_NE(desc.find("en=1"), std::string::npos);

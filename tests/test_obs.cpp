@@ -313,7 +313,6 @@ TEST(ThreadPoolObs, WorkerIdAndStats) {
   for (const auto& s : stats) iterations += s.iterations;
   EXPECT_EQ(iterations, kN);
   EXPECT_GE(pool.jobsExecuted(), 1u);
-  EXPECT_EQ(pool.queueDepth(), 0u);  // idle pool
   // Every iteration ran either on the caller (-1) or a worker in
   // [1, threadCount).
   for (const int lane : lanes) {
@@ -362,9 +361,9 @@ TEST(ObsEndToEnd, FlowRunProducesGoldenShapedDumps) {
   opts.metrics_out = metrics_path;
   opts.trace_out = trace_path;
 
+  obs::configure(opts);
   core::FlowConfig cfg;
   cfg.miner.max_toggle_rate = 0.6;
-  cfg.obs = opts;  // library embedders opt in through FlowConfig
   core::CharacterizationFlow flow(cfg);
   for (std::uint64_t s = 1; s <= 2; ++s) {
     trace::FunctionalTrace f;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -253,6 +254,64 @@ TEST(OnlinePredictor, RejectsARowOfTheWrongShape) {
   EXPECT_EQ(fresh.predictRow(first), estimate);
   EXPECT_EQ(predictor.predictRow(ram.eval.step(1)),
             fresh.predictRow(ram.eval.step(1)));
+}
+
+/// `t` declared with its first two same-width variables swapped, each row's
+/// values swapped with them: the same widths position by position, so
+/// every row passes the row-shape check.
+trace::FunctionalTrace swapFirstSameWidthPair(const trace::FunctionalTrace& t) {
+  const trace::VariableSet& vars = t.variables();
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    for (std::size_t j = i + 1; j < vars.size(); ++j) {
+      if (vars[i].width != vars[j].width) continue;
+      std::vector<trace::VariableDef> defs = vars.all();
+      std::swap(defs[i], defs[j]);
+      trace::FunctionalTrace out{trace::VariableSet(defs)};
+      for (std::size_t r = 0; r < t.length(); ++r) {
+        std::vector<BitVector> row = t.step(r);
+        std::swap(row[i], row[j]);
+        out.append(std::move(row));
+      }
+      return out;
+    }
+  }
+  ADD_FAILURE() << "no two variables of one width";
+  return t;
+}
+
+TEST(OnlinePredictor, RefusesATraceThatDeclaresOtherVariables) {
+  TrainedRam& ram = trainedRam();
+  const trace::FunctionalTrace swapped = swapFirstSameWidthPair(ram.eval);
+  ASSERT_FALSE(swapped.variables() == ram.flow.domain().variables());
+  const std::string model_decl =
+      trace::formatVariableDeclaration(ram.flow.domain().variables());
+  const std::string trace_decl =
+      trace::formatVariableDeclaration(swapped.variables());
+  auto expectRefusal = [&](const std::function<void()>& run) {
+    try {
+      run();
+      ADD_FAILURE() << "a trace declaring '" << trace_decl << "' was scored";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + model_decl + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + trace_decl + "'"), std::string::npos) << what;
+    }
+  };
+
+  expectRefusal([&] { ram.flow.simulator().simulate(swapped); });
+  runtime::OnlinePredictor predictor(ram.flow.psm(), ram.flow.domain());
+  expectRefusal([&] { predictor.predictTrace(swapped); });
+  std::istringstream is(toCsv(swapped));
+  runtime::StreamingTraceReader reader(is);
+  std::size_t sunk = 0;
+  expectRefusal([&] {
+    predictor.predictStream(reader, [&](std::size_t, double) { ++sunk; });
+  });
+  EXPECT_EQ(sunk, 0u);
+
+  // The model's own declaration is still served.
+  EXPECT_EQ(predictor.predictTrace(ram.eval),
+            ram.flow.estimate(ram.eval).estimate);
 }
 
 TEST(OnlinePredictor, CountersTrackLatencyAndThroughput) {

@@ -33,13 +33,12 @@ TEST(ThreadPool, RunsEveryIterationExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, HonoursGrainAndOddSizes) {
+TEST(ThreadPool, RunsOddSizesExactlyOnce) {
   common::ThreadPool pool(3);
   for (const std::size_t n : {1u, 2u, 7u, 63u, 64u, 65u, 1001u}) {
     std::vector<std::atomic<int>> hits(n);
     for (auto& h : hits) h.store(0);
-    pool.parallelFor(n, [&](std::size_t i) { hits[i].fetch_add(1); },
-                     /*grain=*/13);
+    pool.parallelFor(n, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1);
   }
 }
@@ -72,8 +71,8 @@ TEST(ThreadPool, ZeroIterationsIsANoop) {
 
 TEST(ThreadPool, PropagatesExceptionOfLowestFailingChunk) {
   common::ThreadPool pool(4);
-  // Two failing indices; all chunks run to completion and the error of
-  // the lowest-indexed chunk (grain == 1 => index 11) is rethrown.
+  // Two failing indices; every iteration runs to completion and the
+  // error of the lowest failing index (11) is rethrown.
   auto run = [&] {
     pool.parallelFor(500, [&](std::size_t i) {
       if (i == 11 || i == 377) {
