@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "bench_common.hpp"
@@ -84,8 +85,10 @@ int main(int argc, char** argv) {
     runtime::QualityMonitor monitor(run.flow->psm());
     std::ptrdiff_t drift_latency = -1;
     std::ptrdiff_t degraded_latency = -1;
+    std::vector<common::BitVector> row;
     for (std::size_t t = 0; t < pair.functional.length(); ++t) {
-      predictor.predictRow(pair.functional.step(t));
+      pair.functional.readRow(t, row);
+      predictor.predictRow(row);
       monitor.observe(predictor.lastRow(), pair.power.at(t));
       if (t >= onset) {
         const runtime::DriftStatus status = monitor.status();

@@ -89,6 +89,11 @@ BitVector& BitVector::assignWide(const BitVector& other) {
   return *this;
 }
 
+void BitVector::assignWideLimbs(unsigned width, const std::uint64_t* in) {
+  reshape(width);
+  std::copy_n(in, limbCount(), limbs().begin());
+}
+
 void BitVector::reshape(unsigned width) {
   const std::size_t n = limbsFor(width);
   if (n != limbCount()) {

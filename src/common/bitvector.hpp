@@ -89,6 +89,25 @@ class BitVector {
     return i < limbCount() ? limbs()[i] : 0;
   }
 
+  /// Copies the limbCount() limbs, least significant first, to `out`.
+  void readLimbs(std::uint64_t* out) const {
+    const std::span<const std::uint64_t> in = limbs();
+    for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i];
+  }
+  /// Makes this a `width`-bit value from the limbs at `in`, least
+  /// significant first, as readLimbs() wrote them: the bits above `width`
+  /// must be zero. A value whose limb count does not change keeps its
+  /// storage, so refilling a value of the same width only copies limbs.
+  void assignLimbs(unsigned width, const std::uint64_t* in) {
+    if (onHeap() || width > 64 * kInlineLimbs) {
+      assignWideLimbs(width, in);
+      return;
+    }
+    width_ = width;
+    inline_[0] = width > 0 ? in[0] : 0;
+    inline_[1] = width > 64 ? in[1] : 0;
+  }
+
   bool bit(unsigned i) const;
   void setBit(unsigned i, bool v);
 
@@ -183,6 +202,8 @@ class BitVector {
   void reshape(unsigned width);
   /// Copy assignment where either side is on the heap.
   BitVector& assignWide(const BitVector& other);
+  /// assignLimbs() where this value or the new one is on the heap.
+  void assignWideLimbs(unsigned width, const std::uint64_t* in);
   /// compare() where either side is on the heap.
   static int compareWide(const BitVector& a, const BitVector& b);
   /// Frees a heap block and leaves the value empty.

@@ -51,12 +51,12 @@ void walkChunk(const trace::FunctionalTrace& f, const RowChunk& chunk,
                const std::vector<AtomicProposition>& candidates,
                std::size_t words, std::uint64_t* truths,
                RowDistances* distances, ChunkRuns* runs) {
-  const trace::VariableSet& vars = f.variables();
   const std::size_t n = candidates.size();
   // Per candidate, the chunk row on which its current run began.
   std::vector<std::size_t> run_start(n, 0);
+  std::vector<common::BitVector> row;
   for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
-    const std::vector<common::BitVector>& row = f.step(t);
+    f.readRow(t, row);
     std::uint64_t* w = truths + t * words;
     for (std::size_t k = 0; k < words; ++k) {
       std::uint64_t bits = 0;
@@ -65,15 +65,7 @@ void walkChunk(const trace::FunctionalTrace& f, const RowChunk& chunk,
       }
       w[k] = bits;
     }
-    if (t > 0) {
-      const std::vector<common::BitVector>& prev = f.step(t - 1);
-      RowDistances& d = distances[t];
-      for (std::size_t v = 0; v < vars.size(); ++v) {
-        const unsigned hd = common::BitVector::hammingDistance(row[v], prev[v]);
-        d.interface += hd;
-        if (vars[v].kind == trace::VarKind::Input) d.inputs += hd;
-      }
-    }
+    distances[t] = {f.inputHammingDistance(t), f.rowHammingDistance(t)};
     if (t == chunk.begin) continue;
     // A candidate whose truth flipped closes the run that ended on t - 1.
     const std::size_t i = t - chunk.begin;
@@ -370,8 +362,10 @@ PropositionTrace AssertionMiner::tracePropositions(
     PropositionDomain& domain, const trace::FunctionalTrace& t) {
   PropositionTrace out;
   out.ids.reserve(t.length());
+  std::vector<common::BitVector> row;
   for (std::size_t i = 0; i < t.length(); ++i) {
-    out.ids.push_back(domain.internRow(t.step(i)));
+    t.readRow(i, row);
+    out.ids.push_back(domain.internRow(row));
   }
   return out;
 }

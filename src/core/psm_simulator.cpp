@@ -488,8 +488,10 @@ SimResult PsmSimulator::simulate(const trace::FunctionalTrace& trace) const {
   Session session = startSession();
   SimResult result;
   result.estimate.reserve(trace.length());
+  std::vector<common::BitVector> row;
   for (std::size_t t = 0; t < trace.length(); ++t) {
-    result.estimate.push_back(session.step(trace.step(t)));
+    trace.readRow(t, row);
+    result.estimate.push_back(session.step(row));
   }
   static_cast<PredictionCounts&>(result) = session.counts();
 

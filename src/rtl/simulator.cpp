@@ -19,14 +19,13 @@ trace::FunctionalTrace Simulator::run(Stimulus& stimulus, std::size_t cycles,
   device_.reset();
   stimulus.restart();
   PortValues out;
+  std::vector<common::BitVector> row;
   for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
     const PortValues in = stimulus.next(cycle);
     device_.tick(in, out);
-    std::vector<common::BitVector> row;
-    row.reserve(in.size() + out.size());
-    row.insert(row.end(), in.begin(), in.end());
+    row.assign(in.begin(), in.end());
     row.insert(row.end(), out.begin(), out.end());
-    trace.append(std::move(row));
+    trace.append(row);
     if (observer) observer(cycle, in, out);
   }
   return trace;

@@ -124,8 +124,10 @@ std::vector<double> OnlinePredictor::predictTrace(
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<double> out;
   out.reserve(trace.length());
+  std::vector<common::BitVector> row;
   for (std::size_t t = 0; t < trace.length(); ++t) {
-    out.push_back(predictRow(trace.step(t)));
+    trace.readRow(t, row);
+    out.push_back(predictRow(row));
   }
   stats_.seconds = secondsSince(t0);
   return out;

@@ -549,7 +549,9 @@ int runPredict(const Args& args) {
   runtime::OnlinePredictor predictor(model);
   runtime::QualityMonitor monitor(model.psm);
   monitor.reset();  // publishes quality.status = ok before the first row
-  std::printf("instant,power_w\n");
+  // The header goes out with the first estimate, so that a trace refused
+  // before its first row leaves stdout empty, as `estimate` does.
+  const char* const header = "instant,power_w\n";
   const runtime::PredictorStats stats = predictor.predictStream(
       reader, [&](std::size_t t, double estimate) {
         if (!args.ref.empty() && t >= ref.size()) {
@@ -557,6 +559,7 @@ int runPredict(const Args& args) {
               "reference power trace has " + std::to_string(ref.size()) +
               " samples, fewer than the instants of the evaluation trace");
         }
+        if (t == 0) std::fputs(header, stdout);
         std::printf("%zu,%.9e\n", t, estimate);
         monitor.observe(predictor.lastRow(), estimate);
         if (!args.ref.empty() && ref[t] != 0.0) {
@@ -564,6 +567,7 @@ int runPredict(const Args& args) {
           ++mre_n;
         }
       });
+  if (stats.rows == 0) std::fputs(header, stdout);  // a valid empty trace
   monitor.publishOccupancy();
   obs::info("predict.summary",
             {{"instants", stats.rows},

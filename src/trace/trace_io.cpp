@@ -198,9 +198,11 @@ void writeFunctionalTrace(std::ostream& os, const FunctionalTrace& trace) {
   os << kFunctionalHeader << "\n";
   os << formatVariableDeclaration(trace.variables()) << "\n";
   std::string line;
+  std::vector<common::BitVector> row;
   for (std::size_t t = 0; t < trace.length(); ++t) {
+    trace.readRow(t, row);
     line.clear();
-    for (const auto& value : trace.step(t)) {
+    for (const auto& value : row) {
       if (!line.empty()) line += ',';
       value.appendHex(line);
     }
@@ -213,9 +215,7 @@ FunctionalTrace readFunctionalTrace(std::istream& is) {
   LineSource lines(is);
   FunctionalTrace trace(readFunctionalPreamble(lines));
   std::vector<common::BitVector> row;
-  while (readFunctionalRow(lines, trace.variables(), row)) {
-    trace.append(std::move(row));
-  }
+  while (readFunctionalRow(lines, trace.variables(), row)) trace.append(row);
   return trace;
 }
 

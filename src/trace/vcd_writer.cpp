@@ -41,15 +41,16 @@ void writeVcd(std::ostream& os, const FunctionalTrace& trace,
        << vars[i].name << " $end\n";
   }
   os << "$upscope $end\n$enddefinitions $end\n";
+  std::vector<common::BitVector> row;
+  std::vector<common::BitVector> prev;
   for (std::size_t t = 0; t < trace.length(); ++t) {
     os << '#' << t << "\n";
+    trace.readRow(t, row);
     for (std::size_t i = 0; i < vars.size(); ++i) {
       // Emit only changes (and everything at t = 0).
-      if (t == 0 || trace.value(t, static_cast<int>(i)) !=
-                        trace.value(t - 1, static_cast<int>(i))) {
-        emitValue(os, trace.value(t, static_cast<int>(i)), codes[i]);
-      }
+      if (t == 0 || row[i] != prev[i]) emitValue(os, row[i], codes[i]);
     }
+    row.swap(prev);
   }
   if (trace.length() > 0) os << '#' << trace.length() << "\n";
 }

@@ -1,6 +1,7 @@
 // Allocation counts of BitVector storage, of the batch CSV loader, of the
 // streaming CSV reader, of a trace's input Hamming distance, of the
-// characterization build, and of the predictor's per-row step.
+// characterization build, of the readers of a loaded trace, and of the
+// predictor's per-row step.
 //
 // This executable replaces the global operator new and delete, array
 // forms included, with counting versions that forward to std::malloc and
@@ -24,6 +25,7 @@
 #include "common/rng.hpp"
 #include "core/flow.hpp"
 #include "core/psm_simulator.hpp"
+#include "runtime/online_predictor.hpp"
 #include "runtime/streaming_reader.hpp"
 #include "trace/functional_trace.hpp"
 #include "trace/trace_io.hpp"
@@ -116,17 +118,17 @@ std::size_t loadAllocations(const std::string& csv) {
       [&] { trace.emplace(trace::readFunctionalTrace(is)); });
 }
 
-TEST(Allocations, BatchLoaderMakesOneAllocationPerInlineRow) {
-  // The header alone fixes the constant part: the variable set and the
-  // line buffer. Each row then costs its own row vector; the trace's row
-  // vector and the line buffer grow a logarithmic number of times.
+TEST(Allocations, BatchLoaderAllocatesLogarithmicallyInRows) {
+  // The header alone fixes the constant part: the variable set, the limb
+  // offsets and the line buffer. The rows then cost one reused row and the
+  // growth of the trace's limb array, a logarithmic number of blocks.
   const std::size_t header = loadAllocations(inlineCsv(0));
-  for (const std::size_t rows : {1000u, 4000u}) {
+  for (const std::size_t rows : {1000u, 4000u, 40000u}) {
     const std::string csv = inlineCsv(rows);
     const std::size_t n = loadAllocations(csv);
     EXPECT_EQ(loadAllocations(csv), n) << "counts must repeat exactly";
-    EXPECT_GE(n, header + rows);
-    EXPECT_LE(n, header + rows + 2 * std::bit_width(rows))
+    EXPECT_GE(n, header);
+    EXPECT_LE(n, header + 2 * std::bit_width(rows))
         << rows << " rows, " << header << " for the header alone";
   }
 }
@@ -223,6 +225,70 @@ TEST(Allocations, BuildAllocatesNoBlockPerRow) {
   EXPECT_GE(large, small);
   EXPECT_LT(large - small, (40960 - 4096) / 64)
       << small << " blocks for 4096 rows, " << large << " for 40960";
+}
+
+/// The rows of stretchPair(rows), with a 129-bit input "key" that holds
+/// one value throughout, written to CSV and loaded back: every row keeps a
+/// value that a BitVector stores on the heap.
+std::pair<trace::FunctionalTrace, trace::PowerTrace> keyedPair(
+    std::size_t rows) {
+  auto [functional, power] = stretchPair(rows);
+  trace::VariableSet vars = functional.variables();
+  vars.add("key", 129, trace::VarKind::Input);
+  trace::FunctionalTrace keyed(vars);
+  const BitVector key = BitVector::ones(129);
+  for (std::size_t t = 0; t < functional.length(); ++t) {
+    std::vector<BitVector> row = functional.step(t);
+    row.push_back(key);
+    keyed.append(row);
+  }
+  std::stringstream csv;
+  trace::writeFunctionalTrace(csv, keyed);
+  return {trace::readFunctionalTrace(csv), std::move(power)};
+}
+
+TEST(Allocations, TraceReadersAllocateNoBlockPerRow) {
+  core::CharacterizationFlow flow;
+  {
+    auto [functional, power] = keyedPair(4096);
+    flow.addTrainingTrace(std::move(functional), std::move(power));
+  }
+  EXPECT_EQ(flow.build().raw_states, 16u);
+  const trace::FunctionalTrace small = keyedPair(4096).first;
+  const trace::FunctionalTrace large = keyedPair(40960).first;
+
+  // Once a row holds the trace's widths, refilling it only copies limbs.
+  std::vector<BitVector> row;
+  large.readRow(0, row);
+  EXPECT_EQ(allocationsDuring([&] {
+              for (std::size_t t = 0; t < large.length(); ++t) {
+                large.readRow(t, row);
+              }
+            }),
+            0u);
+  EXPECT_EQ(row, large.step(large.length() - 1));
+
+  // Ten times the rows in the same stretches: the blocks of a simulation
+  // or a prediction are per call, never per row. One call first warms the
+  // metric registry.
+  const core::PsmSimulator sim(flow.psm(), flow.domain());
+  runtime::OnlinePredictor predictor(flow.psm(), flow.domain());
+  sim.simulate(small);
+  predictor.predictTrace(small);
+  const auto perCall = [&](auto&& run) {
+    const std::size_t few = allocationsDuring([&] { run(small); });
+    const std::size_t many = allocationsDuring([&] { run(large); });
+    EXPECT_GE(many, few);
+    EXPECT_LT(many - few, (large.length() - small.length()) / 64)
+        << few << " blocks for " << small.length() << " rows, " << many
+        << " for " << large.length();
+  };
+  perCall([&](const trace::FunctionalTrace& t) {
+    EXPECT_EQ(sim.simulate(t).lost_instants, 0u);
+  });
+  perCall([&](const trace::FunctionalTrace& t) {
+    EXPECT_EQ(predictor.predictTrace(t).size(), t.length());
+  });
 }
 
 /// One 2-bit input "m" with one Eq atom per value: PropId k <=> m == k.

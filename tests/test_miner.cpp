@@ -258,11 +258,13 @@ AtomStats scanAtom(const AtomicProposition& atom,
     ++s.runs[truth];
     if (length == 1) ++s.singleton_runs[truth];
   };
+  std::vector<BitVector> row;
   for (const trace::FunctionalTrace* t : traces) {
     bool prev = false;
     std::size_t length = 0;
     for (std::size_t i = 0; i < t->length(); ++i) {
-      const bool truth = atom.eval(t->step(i));
+      t->readRow(i, row);
+      const bool truth = atom.eval(row);
       s.hold += truth;
       if (i > 0 && truth != prev) {
         ++s.toggles;
@@ -275,6 +277,22 @@ AtomStats scanAtom(const AtomicProposition& atom,
     close(prev, length);
   }
   return s;
+}
+
+/// Row r's Hamming distances to row r - 1, summed variable by variable
+/// over the values, apart from the trace's own distance methods.
+RowDistances distancesByValue(const trace::FunctionalTrace& t,
+                              std::size_t r) {
+  RowDistances d;
+  if (r == 0) return d;
+  for (std::size_t v = 0; v < t.variables().size(); ++v) {
+    const int id = static_cast<int>(v);
+    const unsigned hd =
+        BitVector::hammingDistance(t.value(r, id), t.value(r - 1, id));
+    d.interface += hd;
+    if (t.variables()[v].kind == trace::VarKind::Input) d.inputs += hd;
+  }
+  return d;
 }
 
 /// The candidates that the miner's filters keep, by scanAtom's counts.
@@ -359,17 +377,18 @@ TEST(MinerWalk, CountsTruthsAndDistancesAsARowByRowScan) {
 
         std::size_t wrong_truths = 0;
         std::size_t wrong_distances = 0;
+        std::vector<BitVector> row;
         for (std::size_t i = 0; i < traces.size(); ++i) {
           const trace::FunctionalTrace& t = traces[i];
           ASSERT_EQ(mined.distances[i].size(), t.length()) << where;
           for (std::size_t r = 0; r < t.length(); ++r) {
+            t.readRow(r, row);
             for (std::size_t a = 0; a < mined.candidates.size(); ++a) {
-              wrong_truths += mined.holds(i, r, a) !=
-                              mined.candidates[a].eval(t.step(r));
+              wrong_truths +=
+                  mined.holds(i, r, a) != mined.candidates[a].eval(row);
             }
-            const RowDistances expected{t.inputHammingDistance(r),
-                                        t.rowHammingDistance(r)};
-            wrong_distances += !(mined.distances[i][r] == expected);
+            wrong_distances +=
+                !(mined.distances[i][r] == distancesByValue(t, r));
           }
         }
         EXPECT_EQ(wrong_truths, 0u) << where;

@@ -55,13 +55,20 @@ Interval appendRows(Training& tr, int id, std::size_t rows, double intercept,
 }
 
 /// Each training row's Hamming distances, as the flow's walk over the rows
-/// records them for the refinement.
+/// records them for the refinement, summed variable by variable over the
+/// values rather than by the trace's own distance methods.
 std::vector<std::vector<RowDistances>> distancesOf(const Training& tr) {
   std::vector<std::vector<RowDistances>> out;
   for (const trace::FunctionalTrace& f : tr.functional) {
     std::vector<RowDistances>& d = out.emplace_back(f.length());
-    for (std::size_t t = 0; t < f.length(); ++t) {
-      d[t] = {f.inputHammingDistance(t), f.rowHammingDistance(t)};
+    for (std::size_t t = 1; t < f.length(); ++t) {
+      for (std::size_t v = 0; v < f.variables().size(); ++v) {
+        const int id = static_cast<int>(v);
+        const unsigned hd =
+            BitVector::hammingDistance(f.value(t, id), f.value(t - 1, id));
+        d[t].interface += hd;
+        if (f.variables()[v].kind == trace::VarKind::Input) d[t].inputs += hd;
+      }
     }
   }
   return out;

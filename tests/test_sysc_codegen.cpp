@@ -135,7 +135,10 @@ TEST_F(SmallFlow, DotExportContainsStatesAndTransitions) {
       core::toDot(flow_->psm(), flow_->domain(), "demo");
   EXPECT_NE(dot.find("digraph demo"), std::string::npos);
   for (const auto& s : flow_->psm().states()) {
-    EXPECT_NE(dot.find("s" + std::to_string(s.id) + " ["), std::string::npos);
+    std::string node = "s";
+    node += std::to_string(s.id);
+    node += " [";
+    EXPECT_NE(dot.find(node), std::string::npos);
   }
   EXPECT_NE(dot.find("->"), std::string::npos);
   EXPECT_NE(dot.find("mu="), std::string::npos);

@@ -105,6 +105,35 @@ TEST(FunctionalTrace, HammingDistances) {
   EXPECT_EQ(t.rowHammingDistance(2), 4u);
 }
 
+TEST(FunctionalTrace, ReadRowRefillsAReusedRow) {
+  VariableSet vars = demoVars();
+  vars.add("key", 129, VarKind::Input);
+  std::mt19937_64 rng(11);
+  const FunctionalTrace t = randomTrace(vars, 6, rng);
+  std::vector<BitVector> row;
+  for (std::size_t r = 0; r < t.length(); ++r) {
+    t.readRow(r, row);
+    ASSERT_EQ(row.size(), vars.size());
+    for (std::size_t v = 0; v < vars.size(); ++v) {
+      EXPECT_EQ(row[v], t.value(r, static_cast<int>(v))) << r << ", " << v;
+    }
+    EXPECT_EQ(row, t.step(r));
+  }
+  EXPECT_THROW(t.readRow(t.length(), row), std::out_of_range);
+  EXPECT_THROW(t.value(0, static_cast<int>(vars.size())), std::out_of_range);
+  // A row of other widths is reshaped to the trace's widths.
+  row = {BitVector(3, 1)};
+  t.readRow(0, row);
+  EXPECT_EQ(row, t.step(0));
+
+  FunctionalTrace from = t;
+  const FunctionalTrace to = std::move(from);
+  EXPECT_EQ(to, t);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested.
+  EXPECT_TRUE(from.empty());
+  EXPECT_EQ(from.variables().size(), 0u);
+}
+
 TEST(FunctionalTrace, SubtraceAndExtend) {
   FunctionalTrace t = demoTrace();
   FunctionalTrace sub = t.subtrace(1, 2);
@@ -351,10 +380,12 @@ TEST(TraceIoProperty, RandomizedFunctionalRoundTrip) {
     VariableSet vars;
     const std::size_t nvars = 1 + rng() % 5;
     for (std::size_t v = 0; v < nvars; ++v) {
-      // Widths crossing the 64-bit limb boundary exercise multi-limb hex.
-      const unsigned width = 1 + static_cast<unsigned>(rng() % 90);
-      vars.add("v" + std::to_string(v), width,
-               rng() % 2 ? VarKind::Input : VarKind::Output);
+      // Widths crossing the 64-bit limb boundaries exercise multi-limb hex,
+      // and those above 128 bits values that a BitVector keeps on the heap.
+      const unsigned width = 1 + static_cast<unsigned>(rng() % 200);
+      std::string name = "v";
+      name += std::to_string(v);
+      vars.add(name, width, rng() % 2 ? VarKind::Input : VarKind::Output);
     }
     FunctionalTrace t(vars);
     const std::size_t rows = rng() % 40;
