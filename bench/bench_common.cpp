@@ -3,7 +3,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 
+#include "common/strings.hpp"
 #include "obs/profiler.hpp"
 
 namespace psmgen::bench {
@@ -59,33 +62,60 @@ std::size_t planCycles(const std::vector<ip::TraceSpec>& plan) {
   return total;
 }
 
-std::size_t cyclesArg(int argc, char** argv, std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--cycles") == 0) {
-      const long v = std::atol(argv[i + 1]);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
+namespace {
+
+[[noreturn]] void badFlag(const char* flag, const char* value,
+                          const char* why) {
+  obs::error("bench.bad_flag",
+             {{"flag", flag}, {"value", value}, {"why", why}});
+  std::exit(2);
+}
+
+/// The value after the first `flag` in argv, or null if the flag is absent.
+const char* flagValue(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    if (i + 1 == argc) badFlag(flag, "", "needs a value");
+    return argv[i + 1];
   }
-  return fallback;
+  return nullptr;
+}
+
+}  // namespace
+
+long long integerArg(int argc, char** argv, const char* flag, long long min,
+                     long long max, long long fallback, const char* why) {
+  const char* value = flagValue(argc, argv, flag);
+  if (value == nullptr) return fallback;
+  const std::optional<long long> parsed = common::parseInteger(value, min, max);
+  if (!parsed) badFlag(flag, value, why);
+  return *parsed;
+}
+
+std::size_t cyclesArg(int argc, char** argv, std::size_t fallback) {
+  return static_cast<std::size_t>(
+      integerArg(argc, argv, "--cycles", 1,
+                 std::numeric_limits<long long>::max(),
+                 static_cast<long long>(fallback),
+                 "expects a positive cycle count"));
 }
 
 unsigned threadsArg(int argc, char** argv, unsigned fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      const long v = std::atol(argv[i + 1]);
-      if (v >= 0) return static_cast<unsigned>(v);
-    }
-  }
-  return fallback;
+  return static_cast<unsigned>(
+      integerArg(argc, argv, "--threads", 0, 1024, fallback,
+                 "expects a thread count in [0, 1024]"));
 }
 
 obs::Options obsArgs(int argc, char** argv, bool force_metrics) {
   obs::Options opts;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--log-level") == 0) {
-      if (const auto parsed = obs::parseLogLevel(argv[i + 1])) {
-        opts.log_level = *parsed;
+      const auto parsed = obs::parseLogLevel(argv[i + 1]);
+      if (!parsed) {
+        badFlag("--log-level", argv[i + 1],
+                "expects trace|debug|info|warn|error|off");
       }
+      opts.log_level = *parsed;
     } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
       opts.metrics_out = argv[i + 1];
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
@@ -98,18 +128,14 @@ obs::Options obsArgs(int argc, char** argv, bool force_metrics) {
 }
 
 ProfileScope::ProfileScope(int argc, char** argv) {
-  double hz = 97.0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--profile-out") == 0) {
-      out_ = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--profile-hz") == 0) {
-      const double v = std::atof(argv[i + 1]);
-      if (v >= 1.0 && v <= 1000.0) hz = v;
-    }
-  }
-  if (out_.empty()) return;
   obs::ProfilerConfig config;
-  config.hz = hz;
+  if (const char* hz = flagValue(argc, argv, "--profile-hz")) {
+    const std::optional<double> parsed = common::parseReal(hz, 1.0, 1000.0);
+    if (!parsed) badFlag("--profile-hz", hz, "expects a rate in [1, 1000]");
+    config.hz = *parsed;
+  }
+  if (const char* out = flagValue(argc, argv, "--profile-out")) out_ = out;
+  if (out_.empty()) return;
   active_ = obs::profiler().start(config);
 }
 

@@ -46,27 +46,40 @@ EvalResult evaluateOn(const core::CharacterizationFlow& flow, ip::IpKind kind,
                       ip::TestsetMode mode, std::size_t cycles,
                       std::uint64_t seed);
 
+/// "✓" where a shape-check claim holds on a bench's own numbers, "✗"
+/// where it does not.
+inline const char* mark(bool holds) { return holds ? "✓" : "✗"; }
+
 /// Total cycles of a testset plan.
 std::size_t planCycles(const std::vector<ip::TraceSpec>& plan);
 
-/// Reads a "--cycles N" style override from argv; returns fallback if
-/// absent or malformed.
+/// Reads the value after `flag` (e.g. "--cycles") in argv as a whole
+/// base-10 integer in [min, max]; returns fallback if the flag is absent.
+/// A malformed or out-of-range value, or a flag without one, is a usage
+/// error, as on the CLI: logs bench.bad_flag naming the flag and `why`,
+/// and exits 2.
+long long integerArg(int argc, char** argv, const char* flag, long long min,
+                     long long max, long long fallback, const char* why);
+
+/// integerArg for "--cycles N", N >= 1.
 std::size_t cyclesArg(int argc, char** argv, std::size_t fallback);
 
-/// Reads a "--threads N" override from argv; returns fallback if absent
-/// or malformed (0 = all hardware threads, 1 = sequential).
+/// integerArg for "--threads N", N in [0, 1024] as on the CLI (0 = all
+/// hardware threads, 1 = sequential).
 unsigned threadsArg(int argc, char** argv, unsigned fallback);
 
 /// Parses the shared observability flags (--log-level LVL,
 /// --metrics-out F, --trace-out F) and configures the process-global obs
-/// layer, so every bench binary exposes the same surface as the CLI.
+/// layer, so every bench binary exposes the same surface as the CLI; an
+/// unknown level exits 2, as integerArg does.
 /// `force_metrics` enables the registry even without --metrics-out, for
 /// benches whose stdout JSON embeds registry dumps (table4). Returns the
 /// applied options; call obs::flushOutputs() before exiting.
 obs::Options obsArgs(int argc, char** argv, bool force_metrics = false);
 
 /// Whole-run CPU profiling for a bench binary: parses --profile-out F /
-/// --profile-hz N (same contract as the CLI flags) and, when a path was
+/// --profile-hz N (same contract as the CLI flags: a rate outside
+/// [1, 1000] exits 2, as integerArg does) and, when a path was
 /// given, arms the sampling profiler for the scope's lifetime; the
 /// destructor stops the capture and writes the psmgen.profile.v1 JSON
 /// atomically. Declare one at the top of main(), after obsArgs():

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -42,27 +43,15 @@
 
 namespace {
 
-std::size_t sizeArg(int argc, char** argv, const char* flag,
-                    std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      const long v = std::atol(argv[i + 1]);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-  }
-  return fallback;
-}
-
-/// Like sizeArg but 0 is a meaningful value (--flight-events 0 disables).
-std::size_t sizeArgAllowZero(int argc, char** argv, const char* flag,
-                             std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      const long v = std::atol(argv[i + 1]);
-      if (v >= 0) return static_cast<std::size_t>(v);
-    }
-  }
-  return fallback;
+/// A count flag: a whole integer of at least `min` (--flight-events 0
+/// disables the recorder, --rate 0 unthrottles).
+std::size_t countArg(int argc, char** argv, const char* flag, long long min,
+                     std::size_t fallback) {
+  return static_cast<std::size_t>(psmgen::bench::integerArg(
+      argc, argv, flag, min, std::numeric_limits<long long>::max(),
+      static_cast<long long>(fallback),
+      min == 0 ? "expects a count of at least 0"
+               : "expects a count of at least 1"));
 }
 
 const char* stringArg(int argc, char** argv, const char* flag) {
@@ -97,16 +86,16 @@ double percentile(std::vector<double>& samples, double p) {
 
 int main(int argc, char** argv) {
   using namespace psmgen;
-  const std::size_t sessions = sizeArg(argc, argv, "--sessions", 64);
+  const std::size_t sessions = countArg(argc, argv, "--sessions", 1, 64);
   const std::size_t cycles = bench::cyclesArg(argc, argv, 3000);
-  const std::size_t batch = sizeArg(argc, argv, "--batch", 256);
+  const std::size_t batch = countArg(argc, argv, "--batch", 1, 256);
   // --flight-events 0 measures the recorder-off baseline for the
   // overhead check in scripts/load_gate.py; the default matches serve's.
   const std::size_t flight_events =
-      sizeArgAllowZero(argc, argv, "--flight-events", 1024);
+      countArg(argc, argv, "--flight-events", 0, 1024);
   // Per-session row rate cap; 0 = unthrottled. CI's mid-load scrape run
   // uses this to stretch the load into a window wide enough to observe.
-  const std::size_t rate = sizeArgAllowZero(argc, argv, "--rate", 0);
+  const std::size_t rate = countArg(argc, argv, "--rate", 0, 0);
   const char* flight_dump_dir = stringArg(argc, argv, "--flight-dump-dir");
   const char* http_port_file = stringArg(argc, argv, "--http-port-file");
   bench::obsArgs(argc, argv, /*force_metrics=*/true);

@@ -71,12 +71,12 @@ void checkDomain(const core::Psm& psm, const core::PropositionDomain& domain,
                  Sink& sink) {
   const std::size_t atom_count = domain.atoms().size();
   for (PropId id = 0; id < static_cast<PropId>(domain.size()); ++id) {
-    if (domain.signature(id).size() != atom_count) {
+    if (domain.signature(id).width() != atom_count) {
       Locus locus;
       locus.detail = "proposition " + std::to_string(id);
       sink.emit("PSM-DOM-001", Severity::Error, std::move(locus),
                 "proposition " + std::to_string(id) + " signature has " +
-                    std::to_string(domain.signature(id).size()) +
+                    std::to_string(domain.signature(id).width()) +
                     " bits but the domain mines " +
                     std::to_string(atom_count) + " atoms",
                 "re-train: the domain and its interned signatures must "

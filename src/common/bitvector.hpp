@@ -108,6 +108,11 @@ class BitVector {
     inline_[1] = width > 64 ? in[1] : 0;
   }
 
+  /// Makes this an all-zero `width`-bit value. A heap block is kept when
+  /// the limb count does not change, so a value refilled at one width
+  /// allocates nothing.
+  void reshape(unsigned width);
+
   bool bit(unsigned i) const;
   void setBit(unsigned i, bool v);
 
@@ -197,9 +202,6 @@ class BitVector {
     return {onHeap() ? heap_ : inline_, limbCount()};
   }
 
-  /// Makes this an all-zero `width`-bit value. A heap block is kept when
-  /// the limb count does not change.
-  void reshape(unsigned width);
   /// Copy assignment where either side is on the heap.
   BitVector& assignWide(const BitVector& other);
   /// assignLimbs() where this value or the new one is on the heap.

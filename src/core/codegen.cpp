@@ -48,14 +48,9 @@ void emitSignatures(std::ostringstream& os, const PropositionDomain& domain) {
   const std::size_t words = (domain.atoms().size() + 63) / 64;
   for (std::size_t p = 0; p < domain.size(); ++p) {
     os << "  {";
-    const Signature& sig = domain.signature(static_cast<PropId>(p));
+    const common::BitVector& sig = domain.signature(static_cast<PropId>(p));
     for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t word = 0;
-      for (std::size_t bit = 0; bit < 64; ++bit) {
-        const std::size_t atom = w * 64 + bit;
-        if (atom < sig.size() && sig.get(atom)) word |= 1ull << bit;
-      }
-      os << "0x" << std::hex << word << std::dec << "ull,";
+      os << "0x" << std::hex << sig.limb(w) << std::dec << "ull,";
     }
     os << "},  // " << domain.describe(static_cast<PropId>(p)) << "\n";
   }

@@ -45,77 +45,31 @@ BuildReport CharacterizationFlow::build() {
     pool = pool_storage.get();
   }
 
-  // III-A: mine the shared proposition domain in one walk over the rows,
-  // which also leaves each row's candidate truth words and its Hamming
-  // distances.
-  MinedRows mined;
-  {
-    obs::PhaseScope phase("mine");
-    AssertionMiner miner(config_.miner);
-    std::vector<const trace::FunctionalTrace*> views;
-    views.reserve(functional_.size());
-    for (const auto& f : functional_) views.push_back(&f);
-    mined = miner.mine(views, pool);
-    domain_ = std::make_unique<PropositionDomain>(
-        functional_.front().variables(), mined.atoms);
-  }
+  // III-A: mine the shared proposition domain and the proposition trace of
+  // every training pair in one walk over the rows, which also leaves each
+  // row's Hamming distances.
+  std::vector<const trace::FunctionalTrace*> views;
+  views.reserve(functional_.size());
+  for (const auto& f : functional_) views.push_back(&f);
+  MinedRows mined = AssertionMiner(config_.miner).mine(views, pool);
+  domain_ = std::make_unique<PropositionDomain>(std::move(mined.domain));
   report.atoms = domain_->atoms().size();
-
-  // III-B: one proposition trace per training pair. Each chunk first
-  // numbers its rows' signatures in a chunk-local index, on the pool; the
-  // chunks' signatures are then interned in chunk order, each chunk's in
-  // first-seen order: PropIds keep the exact first-seen numbering of
-  // interning row by row in trace order.
-  const std::size_t trace_count = functional_.size();
-  std::vector<PropositionTrace> gammas(trace_count);
-  std::size_t total_rows = 0;
-  for (std::size_t i = 0; i < trace_count; ++i) {
-    gammas[i].ids.resize(functional_[i].length());
-    total_rows += functional_[i].length();
-  }
-  std::vector<SignatureIndex> chunk_index(mined.chunks.size());
-  {
-    obs::PhaseScope phase("signatures");
-    common::parallel_for(pool, mined.chunks.size(), [&](std::size_t c) {
-      obs::Span span("signatures#" + std::to_string(c), "task");
-      mined.numberChunk(c, gammas[mined.chunks[c].trace].ids, chunk_index[c]);
-    });
-  }
-  mined.releaseTruths();
-  obs::metrics().counter("flow.rows_evaluated").add(total_rows);
-  {
-    obs::PhaseScope phase("intern");
-    std::vector<std::vector<PropId>> global(mined.chunks.size());
-    for (std::size_t c = 0; c < mined.chunks.size(); ++c) {
-      for (PropId local = 0;
-           local < static_cast<PropId>(chunk_index[c].size()); ++local) {
-        global[c].push_back(domain_->intern(chunk_index[c].signature(local)));
-      }
-    }
-    chunk_index = {};
-    common::parallel_for(pool, mined.chunks.size(), [&](std::size_t c) {
-      const RowChunk& chunk = mined.chunks[c];
-      std::vector<PropId>& ids = gammas[chunk.trace].ids;
-      for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
-        ids[t] = global[c][static_cast<std::size_t>(ids[t])];
-      }
-    });
-  }
   obs::metrics().gauge("flow.propositions").set(
       static_cast<double>(domain_->size()));
 
-  // XU-automaton walk per trace, into pre-sized slots. The chains are
-  // then simplified in place and move into the join.
+  // III-B: XU-automaton walk per trace, into pre-sized slots. The chains
+  // are then simplified in place and move into the join.
+  const std::size_t trace_count = functional_.size();
   std::vector<Psm> chains(trace_count);
   {
     obs::PhaseScope phase("xu_walk");
     common::parallel_for(pool, trace_count, [&](std::size_t i) {
       obs::Span span("xu_walk#" + std::to_string(i), "task");
-      chains[i] =
-          PsmGenerator::generate(gammas[i], power_[i], static_cast<int>(i));
+      chains[i] = PsmGenerator::generate(mined.propositions[i], power_[i],
+                                         static_cast<int>(i));
     });
   }
-  gammas = {};
+  mined.propositions = {};
   for (const Psm& p : chains) report.raw_states += p.stateCount();
   report.propositions = domain_->size();
 

@@ -2,8 +2,9 @@
 // End-to-end characterization flow: the paper's "automatic tool" (Sec. VI).
 //
 //   training (functional, power) pairs
-//     -> mine atoms, build the shared proposition domain      (III-A)
-//     -> proposition trace + PSMGenerator per training pair   (III-B)
+//     -> AssertionMiner::mine: the atoms, the shared proposition
+//        domain and each pair's proposition trace             (III-A)
+//     -> PSMGenerator (XU automaton) per training pair        (III-B)
 //     -> simplify each chain                                  (IV)
 //     -> join into one combined PSM                           (IV)
 //     -> regression refinement of data-dependent states       (IV)
@@ -30,10 +31,10 @@ struct FlowConfig {
   SimOptions sim;
   /// Ablation knob (on for the paper's flow).
   bool apply_refine = true;
-  /// Threads for the embarrassingly parallel stages of build(): the walk
-  /// over the training rows and the per-chunk signature numbering, the
-  /// per-trace XU-automaton walk / chain simplification, and the
-  /// per-state regression fits of the refinement.
+  /// Threads for the embarrassingly parallel stages of build(): the
+  /// miner's walk over the training rows and its per-chunk signature
+  /// numbering, the per-trace XU-automaton walk / chain simplification,
+  /// and the per-state regression fits of the refinement.
   /// 0 = all hardware threads, 1 = the sequential seed path.
   /// The combined PSM is bit-identical for every value: parallel results
   /// land in per-index slots, proposition interning and merging stay in

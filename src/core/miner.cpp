@@ -34,6 +34,39 @@ void checkTraces(const std::vector<const trace::FunctionalTrace*>& traces) {
   }
 }
 
+/// Rows [begin, end) of training trace `trace`: the unit of work of the
+/// walk over the training rows and of the signature numbering.
+struct RowChunk {
+  std::size_t trace = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Rows per chunk; only a trace's last chunk is shorter.
+constexpr std::size_t kRowChunk = 2048;
+
+/// What the walk over the training rows leaves behind.
+struct Walk {
+  /// Every training row exactly once, in trace and row order.
+  std::vector<RowChunk> chunks;
+  /// Truth words per row: ceil(candidates / 64).
+  std::size_t words = 0;
+  /// Per trace, `words` words per row: candidate a holds on row t iff bit
+  /// a % 64 of word t * words + a / 64 is set.
+  std::vector<std::vector<std::uint64_t>> truths;
+  /// Per trace, one entry per row.
+  std::vector<std::vector<RowDistances>> distances;
+  /// Per candidate, its statistics over the training set.
+  std::vector<AtomStats> stats;
+
+  bool holds(std::size_t trace, std::size_t t, std::size_t a) const {
+    return ((truths[trace][t * words + a / 64] >> (a % 64)) & 1) != 0;
+  }
+};
+
+/// Marks a candidate that is not among the kept atoms.
+constexpr std::uint32_t kDropped = UINT32_MAX;
+
 /// One candidate atom over one chunk. The chunk's first run (head) and its
 /// last run (tail) may continue into the neighbouring chunks of the trace,
 /// so they are left open; `inner` counts the runs between them and every
@@ -96,15 +129,16 @@ void walkChunk(const trace::FunctionalTrace& f, const RowChunk& chunk,
 /// run left open at the end of a chunk continues into the next chunk of
 /// its trace if the truth holds there, and closes otherwise (a toggle);
 /// a trace's last run closes at the trace's end.
-AtomStats stitch(const MinedRows& mined, const std::vector<ChunkRuns>& runs,
-                 std::size_t a) {
+/// `runs` holds `n` slots per chunk, one per candidate.
+AtomStats stitch(const Walk& walk, const std::vector<ChunkRuns>& runs,
+                 std::size_t n, std::size_t a) {
   AtomStats s;
   bool open_truth = false;
   std::size_t open_length = 0;
-  for (std::size_t c = 0; c < mined.chunks.size(); ++c) {
-    const RowChunk& chunk = mined.chunks[c];
-    const ChunkRuns& r = runs[c * mined.candidates.size() + a];
-    const bool first = mined.holds(chunk.trace, chunk.begin, a);
+  for (std::size_t c = 0; c < walk.chunks.size(); ++c) {
+    const RowChunk& chunk = walk.chunks[c];
+    const ChunkRuns& r = runs[c * n + a];
+    const bool first = walk.holds(chunk.trace, chunk.begin, a);
     // Chunks run in trace and row order, so a chunk that does not start
     // its trace continues the previous one.
     const bool continues = chunk.begin > 0;
@@ -124,12 +158,124 @@ AtomStats stitch(const MinedRows& mined, const std::vector<ChunkRuns>& runs,
         s.runs[pol] += r.inner.runs[pol];
         s.singleton_runs[pol] += r.inner.singleton_runs[pol];
       }
-      open_truth = mined.holds(chunk.trace, chunk.end - 1, a);
+      open_truth = walk.holds(chunk.trace, chunk.end - 1, a);
       open_length = r.tail;
     }
   }
   s.closeRun(open_truth, open_length);
   return s;
+}
+
+/// Walks every training row once, on the pool: each chunk writes its rows'
+/// truth words and distances into the trace's arrays, and its run
+/// structure into a per-chunk slot; the statistics are then stitched per
+/// candidate, in chunk order.
+Walk walkRows(const std::vector<const trace::FunctionalTrace*>& traces,
+              const std::vector<AtomicProposition>& candidates,
+              common::ThreadPool* pool) {
+  const std::size_t n = candidates.size();
+  Walk walk;
+  walk.words = (n + 63) / 64;
+  walk.truths.resize(traces.size());
+  walk.distances.resize(traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const std::size_t len = traces[i]->length();
+    walk.truths[i].resize(len * walk.words);
+    walk.distances[i].resize(len);
+    for (std::size_t b = 0; b < len; b += kRowChunk) {
+      walk.chunks.push_back({i, b, std::min(len, b + kRowChunk)});
+    }
+  }
+  walk.stats.resize(n);
+  std::vector<ChunkRuns> runs(walk.chunks.size() * n);
+  common::parallel_for(pool, walk.chunks.size(), [&](std::size_t c) {
+    const RowChunk& chunk = walk.chunks[c];
+    walkChunk(*traces[chunk.trace], chunk, candidates, walk.words,
+              walk.truths[chunk.trace].data(),
+              walk.distances[chunk.trace].data(), runs.data() + c * n);
+  });
+  common::parallel_for(pool, n, [&](std::size_t a) {
+    walk.stats[a] = stitch(walk, runs, n, a);
+  });
+  return walk;
+}
+
+/// The filters of `config` over every candidate: per candidate, its index
+/// among the kept atoms, or kDropped.
+std::vector<std::uint32_t> filterAtoms(
+    const MinerConfig& config, const trace::VariableSet& vars,
+    const std::vector<AtomicProposition>& candidates,
+    const std::vector<AtomStats>& stats, std::size_t total) {
+  std::vector<std::uint32_t> atom_index(candidates.size(), kDropped);
+  std::uint32_t kept = 0;
+  std::size_t dropped_constant = 0;
+  std::size_t dropped_noise = 0;
+  std::size_t dropped_spiky = 0;
+  for (std::size_t a = 0; a < candidates.size(); ++a) {
+    if (stats[a].hold == 0 || stats[a].hold == total) {  // constant
+      ++dropped_constant;
+      continue;
+    }
+    const double toggle_rate =
+        static_cast<double>(stats[a].toggles) / static_cast<double>(total);
+    if (toggle_rate > config.max_toggle_rate) {  // noise
+      ++dropped_noise;
+      continue;
+    }
+    const bool boolean_atom =
+        vars[static_cast<std::size_t>(candidates[a].lhs)].width == 1;
+    if (!boolean_atom) {
+      bool spiky = false;
+      for (const std::size_t pol : {0, 1}) {
+        if (stats[a].runs[pol] == 0) continue;
+        const double singleton_fraction =
+            static_cast<double>(stats[a].singleton_runs[pol]) /
+            static_cast<double>(stats[a].runs[pol]);
+        if (singleton_fraction > config.max_singleton_run_fraction) {
+          spiky = true;
+        }
+      }
+      if (spiky) {
+        ++dropped_spiky;
+        continue;
+      }
+    }
+    atom_index[a] = kept++;
+  }
+  obs::metrics().counter("miner.atoms_kept").add(kept);
+  obs::metrics().counter("miner.atoms_dropped.constant").add(dropped_constant);
+  obs::metrics().counter("miner.atoms_dropped.noise").add(dropped_noise);
+  obs::metrics().counter("miner.atoms_dropped.spiky").add(dropped_spiky);
+  obs::debug("miner.mined", {{"candidates", candidates.size()},
+                             {"kept", kept},
+                             {"dropped_constant", dropped_constant},
+                             {"dropped_noise", dropped_noise},
+                             {"dropped_spiky", dropped_spiky},
+                             {"rows", total}});
+  return atom_index;
+}
+
+/// Numbers the rows of `chunk` by their signature, the truth words
+/// projected onto the `atoms` kept atoms (`atom_index` maps a candidate to
+/// its kept atom or kDropped): writes each row's id in `index`, which
+/// lists the chunk's signatures in first-seen order, into ids[t].
+void numberChunk(const Walk& walk, const RowChunk& chunk,
+                 const std::vector<std::uint32_t>& atom_index, unsigned atoms,
+                 std::vector<PropId>& ids, SignatureIndex& index) {
+  std::vector<std::uint64_t> projected((atoms + 63) / 64);
+  common::BitVector sig;
+  for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
+    const std::uint64_t* w = walk.truths[chunk.trace].data() + t * walk.words;
+    std::ranges::fill(projected, 0);
+    for (std::size_t k = 0; k < walk.words; ++k) {
+      for (std::uint64_t bits = w[k]; bits != 0; bits &= bits - 1) {
+        const std::uint32_t j = atom_index[64 * k + std::countr_zero(bits)];
+        if (j != kDropped) projected[j / 64] |= std::uint64_t{1} << (j % 64);
+      }
+    }
+    sig.assignLimbs(atoms, projected.data());
+    ids[t] = index.intern(sig);
+  }
 }
 
 using ValueCounts =
@@ -238,123 +384,77 @@ std::vector<AtomicProposition> AssertionMiner::candidateAtoms(
   return atoms;
 }
 
-bool MinedRows::holds(std::size_t trace, std::size_t t,
-                      std::size_t a) const {
-  return ((truths_[trace][t * words_ + a / 64] >> (a % 64)) & 1) != 0;
-}
-
-void MinedRows::numberChunk(std::size_t c, std::vector<PropId>& ids,
-                            SignatureIndex& index) const {
-  const RowChunk& chunk = chunks[c];
-  Signature sig;
-  for (std::size_t t = chunk.begin; t < chunk.end; ++t) {
-    // The signature is the row's truth words projected onto the kept atoms.
-    const std::uint64_t* w = truths_[chunk.trace].data() + t * words_;
-    sig.reset(atoms.size());
-    for (std::size_t k = 0; k < words_; ++k) {
-      for (std::uint64_t bits = w[k]; bits != 0; bits &= bits - 1) {
-        const std::uint32_t j = atom_index_[64 * k + std::countr_zero(bits)];
-        if (j != kDropped) sig.set(j);
-      }
-    }
-    ids[t] = index.intern(sig);
-  }
-}
-
 MinedRows AssertionMiner::mine(
     const std::vector<const trace::FunctionalTrace*>& traces,
     common::ThreadPool* pool) const {
   checkTraces(traces);
-  MinedRows mined;
-  {
-    obs::Span span("miner.candidates", "miner");
-    mined.candidates = candidateAtoms(traces, pool);
-  }
-  const std::vector<AtomicProposition>& candidates = mined.candidates;
-  const std::size_t total = totalLength(traces);
-
-  // The walk: each chunk writes its rows' truth words and distances into
-  // the trace's arrays, and its run structure into a per-chunk slot; the
-  // statistics are then stitched per candidate, in chunk order.
-  mined.words_ = (candidates.size() + 63) / 64;
-  mined.truths_.resize(traces.size());
-  mined.distances.resize(traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    const std::size_t len = traces[i]->length();
-    mined.truths_[i].resize(len * mined.words_);
-    mined.distances[i].resize(len);
-    for (std::size_t b = 0; b < len; b += kRowChunk) {
-      mined.chunks.push_back({i, b, std::min(len, b + kRowChunk)});
-    }
-  }
-  mined.stats.resize(candidates.size());
-  {
-    obs::Span span("miner.scan", "miner");
-    std::vector<ChunkRuns> runs(mined.chunks.size() * candidates.size());
-    common::parallel_for(pool, mined.chunks.size(), [&](std::size_t c) {
-      const RowChunk& chunk = mined.chunks[c];
-      walkChunk(*traces[chunk.trace], chunk, candidates, mined.words_,
-                mined.truths_[chunk.trace].data(),
-                mined.distances[chunk.trace].data(),
-                runs.data() + c * candidates.size());
-    });
-    common::parallel_for(pool, candidates.size(), [&](std::size_t a) {
-      mined.stats[a] = stitch(mined, runs, a);
-    });
-  }
-  const std::vector<AtomStats>& stats = mined.stats;
-  obs::metrics().counter("miner.candidate_atoms").add(candidates.size());
-  obs::metrics().counter("miner.rows_scanned").add(total * candidates.size());
-
-  std::size_t dropped_constant = 0;
-  std::size_t dropped_noise = 0;
-  std::size_t dropped_spiky = 0;
   const trace::VariableSet& vars = traces.front()->variables();
-  std::vector<AtomicProposition>& kept = mined.atoms;
-  mined.atom_index_.assign(candidates.size(), MinedRows::kDropped);
-  for (std::size_t a = 0; a < candidates.size(); ++a) {
-    if (stats[a].hold == 0 || stats[a].hold == total) {  // constant
-      ++dropped_constant;
-      continue;
+  const std::size_t total = totalLength(traces);
+  std::vector<AtomicProposition> candidates;
+  Walk walk;
+  std::vector<std::uint32_t> atom_index;
+  {
+    obs::PhaseScope phase("mine");
+    {
+      obs::Span span("miner.candidates", "miner");
+      candidates = candidateAtoms(traces, pool);
     }
-    const double toggle_rate =
-        static_cast<double>(stats[a].toggles) / static_cast<double>(total);
-    if (toggle_rate > config_.max_toggle_rate) {  // noise
-      ++dropped_noise;
-      continue;
+    {
+      obs::Span span("miner.scan", "miner");
+      walk = walkRows(traces, candidates, pool);
     }
-    const bool boolean_atom =
-        vars[static_cast<std::size_t>(candidates[a].lhs)].width == 1;
-    if (!boolean_atom) {
-      bool spiky = false;
-      for (int pol = 0; pol < 2; ++pol) {
-        if (stats[a].runs[static_cast<std::size_t>(pol)] == 0) continue;
-        const double singleton_fraction =
-            static_cast<double>(
-                stats[a].singleton_runs[static_cast<std::size_t>(pol)]) /
-            static_cast<double>(stats[a].runs[static_cast<std::size_t>(pol)]);
-        if (singleton_fraction > config_.max_singleton_run_fraction) {
-          spiky = true;
-        }
-      }
-      if (spiky) {
-        ++dropped_spiky;
-        continue;
-      }
-    }
-    mined.atom_index_[a] = static_cast<std::uint32_t>(kept.size());
-    kept.push_back(candidates[a]);
+    obs::metrics().counter("miner.candidate_atoms").add(candidates.size());
+    obs::metrics().counter("miner.rows_scanned").add(total * candidates.size());
+    atom_index = filterAtoms(config_, vars, candidates, walk.stats, total);
   }
-  obs::metrics().counter("miner.atoms_kept").add(kept.size());
-  obs::metrics().counter("miner.atoms_dropped.constant").add(dropped_constant);
-  obs::metrics().counter("miner.atoms_dropped.noise").add(dropped_noise);
-  obs::metrics().counter("miner.atoms_dropped.spiky").add(dropped_spiky);
-  obs::debug("miner.mined", {{"candidates", candidates.size()},
-                             {"kept", kept.size()},
-                             {"dropped_constant", dropped_constant},
-                             {"dropped_noise", dropped_noise},
-                             {"dropped_spiky", dropped_spiky},
-                             {"rows", total}});
+  std::vector<AtomicProposition> kept;
+  for (std::size_t a = 0; a < candidates.size(); ++a) {
+    if (atom_index[a] != kDropped) kept.push_back(candidates[a]);
+  }
+  const auto atoms = static_cast<unsigned>(kept.size());
+  MinedRows mined{std::move(candidates), std::move(walk.stats),
+                  PropositionDomain(vars, std::move(kept)),
+                  std::vector<PropositionTrace>(traces.size()),
+                  std::move(walk.distances)};
+
+  // Phase 2. Each chunk first numbers its rows' signatures in a
+  // chunk-local index, on the pool; the chunks' signatures are then
+  // interned in chunk order, each chunk's in first-seen order: PropIds
+  // keep the exact first-seen numbering of interning row by row in trace
+  // order.
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    mined.propositions[i].ids.resize(traces[i]->length());
+  }
+  const std::vector<RowChunk>& chunks = walk.chunks;
+  std::vector<SignatureIndex> chunk_index(chunks.size());
+  {
+    obs::PhaseScope phase("signatures");
+    common::parallel_for(pool, chunks.size(), [&](std::size_t c) {
+      obs::Span span("signatures#" + std::to_string(c), "task");
+      numberChunk(walk, chunks[c], atom_index, atoms,
+                  mined.propositions[chunks[c].trace].ids, chunk_index[c]);
+    });
+  }
+  walk.truths = {};
+  obs::metrics().counter("flow.rows_evaluated").add(total);
+  {
+    obs::PhaseScope phase("intern");
+    std::vector<std::vector<PropId>> global(chunks.size());
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      for (PropId local = 0;
+           local < static_cast<PropId>(chunk_index[c].size()); ++local) {
+        global[c].push_back(
+            mined.domain.intern(chunk_index[c].signature(local)));
+      }
+    }
+    chunk_index = {};
+    common::parallel_for(pool, chunks.size(), [&](std::size_t c) {
+      std::vector<PropId>& ids = mined.propositions[chunks[c].trace].ids;
+      for (std::size_t t = chunks[c].begin; t < chunks[c].end; ++t) {
+        ids[t] = global[c][static_cast<std::size_t>(ids[t])];
+      }
+    });
+  }
   return mined;
 }
 

@@ -15,11 +15,13 @@
 // exactly one proposition holds per instant, and emits the proposition
 // trace.
 //
-// After the wide variables' values are counted, phase 1 walks each training
-// row once: the walk writes the row of m over every candidate atom (its
-// truth words) and the row's Hamming distances, from which the filters'
-// statistics, the kept atoms' signatures and the refinement's regressors
-// all derive.
+// mine() does both over the training set. After the wide variables'
+// values are counted, it walks each training row once: the walk writes
+// the row of m over every candidate atom (its truth words) and the row's
+// Hamming distances, from which the filters' statistics, the kept atoms'
+// signatures and the refinement's regressors all derive. The truth words
+// never leave the miner: it numbers each row's signature from them, then
+// frees them.
 
 #include <array>
 #include <cstdint>
@@ -78,17 +80,6 @@ struct AtomStats {
   bool operator==(const AtomStats&) const = default;
 };
 
-/// Rows [begin, end) of training trace `trace`: the unit of work of the
-/// walk over the training rows and of the flow's interning.
-struct RowChunk {
-  std::size_t trace = 0;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Rows per chunk; only a trace's last chunk is shorter.
-inline constexpr std::size_t kRowChunk = 2048;
-
 /// The Hamming distances of one training row to the row before it in its
 /// trace: over the input variables, and over every variable (inputs and
 /// outputs). Both are 0 on a trace's first row.
@@ -99,56 +90,32 @@ struct RowDistances {
   bool operator==(const RowDistances&) const = default;
 };
 
-/// What the walk over the training rows leaves behind. The candidate truth
-/// words of every row stay private: they are read through holds() and
-/// numberChunk() until releaseTruths() frees them.
-class MinedRows {
- public:
+/// What mine() produces over the training traces.
+struct MinedRows {
   /// Every candidate atom, and its statistics over the training set.
   std::vector<AtomicProposition> candidates;
   std::vector<AtomStats> stats;
-  /// The candidates that passed the filters, in candidate order.
-  std::vector<AtomicProposition> atoms;
-  /// Every training row exactly once, in trace and row order.
-  std::vector<RowChunk> chunks;
+  /// The candidates that passed the filters, in candidate order, with the
+  /// signature of every training row interned in first-seen order, trace
+  /// by trace and row by row.
+  PropositionDomain domain;
+  /// Per trace, the proposition holding at each row.
+  std::vector<PropositionTrace> propositions;
   /// Per trace, one entry per row.
   std::vector<std::vector<RowDistances>> distances;
-
-  /// Whether candidate `a` holds on row t of trace `trace`.
-  bool holds(std::size_t trace, std::size_t t, std::size_t a) const;
-  /// Numbers the rows of chunk `c` by their signature over `atoms`: writes
-  /// each row's id in `index`, which lists the chunk's signatures in
-  /// first-seen order, into ids[t]. `ids` holds one entry per row of the
-  /// chunk's trace.
-  void numberChunk(std::size_t c, std::vector<PropId>& ids,
-                   SignatureIndex& index) const;
-  /// Frees the truth words; holds() and numberChunk() are not called after.
-  void releaseTruths() { truths_ = {}; }
-
- private:
-  friend class AssertionMiner;
-
-  /// Marks a candidate that is not among the kept atoms.
-  static constexpr std::uint32_t kDropped = UINT32_MAX;
-
-  /// Per candidate, its index among `atoms` or kDropped.
-  std::vector<std::uint32_t> atom_index_;
-  /// Truth words per row: ceil(candidates / 64).
-  std::size_t words_ = 0;
-  /// Per trace, words_ words per row: candidate a holds on row t iff bit
-  /// a % 64 of word t * words_ + a / 64 is set.
-  std::vector<std::vector<std::uint64_t>> truths_;
 };
 
 class AssertionMiner {
  public:
   explicit AssertionMiner(MinerConfig config = {}) : config_(config) {}
 
-  /// Phase 1 over the union of all training traces, which must share one
-  /// variable set, in one walk over their rows on the pool (sequentially
-  /// when `pool` is null). The mined atoms do not depend on the pool:
-  /// per-variable and per-chunk results land in pre-sized slots and are
-  /// combined in index order.
+  /// Phases 1 and 2 over the union of all training traces, which must
+  /// share one variable set, in one walk over their rows on the pool
+  /// (sequentially when `pool` is null). Nothing mined depends on the
+  /// pool: per-variable and per-chunk results land in pre-sized slots and
+  /// are combined in index order, so the PropIds are those of
+  /// tracePropositions() over the traces in order. Times the `mine`,
+  /// `signatures` and `intern` phases (obs::PhaseScope).
   MinedRows mine(const std::vector<const trace::FunctionalTrace*>& traces,
                  common::ThreadPool* pool = nullptr) const;
 

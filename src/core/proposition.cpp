@@ -28,57 +28,40 @@ std::string AtomicProposition::toString(const trace::VariableSet& vars) const {
   return lhs_name + op_name + "0x" + rhs_const.toHex();
 }
 
-Signature::Signature(const std::vector<bool>& truths) {
-  reset(truths.size());
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (truths[i]) set(i);
+PropositionDomain::PropositionDomain(trace::VariableSet vars,
+                                     std::vector<AtomicProposition> atoms)
+    : vars_(std::move(vars)), atoms_(std::move(atoms)) {}
+
+void PropositionDomain::evalRow(const std::vector<common::BitVector>& row,
+                                common::BitVector& out) const {
+  out.reshape(static_cast<unsigned>(atoms_.size()));
+  for (std::size_t i = 0; i < atoms_.size(); ++i) {
+    if (atoms_[i].eval(row)) out.setBit(static_cast<unsigned>(i), true);
   }
 }
 
-void Signature::reset(std::size_t size) {
-  size_ = size;
-  words_.assign((size_ + 63) / 64, 0);
+common::BitVector PropositionDomain::evalRow(
+    const std::vector<common::BitVector>& row) const {
+  common::BitVector sig;
+  evalRow(row, sig);
+  return sig;
 }
 
-bool Signature::get(std::size_t atom) const {
-  if (atom >= size_) throw std::out_of_range("Signature::get");
-  return (words_[atom / 64] >> (atom % 64)) & 1u;
-}
-
-std::size_t Signature::hash() const {
+std::size_t SignatureIndex::hash(const common::BitVector& sig) {
   std::size_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t x) {
     h ^= x;
     h *= 1099511628211ull;
     h ^= h >> 29;
   };
-  mix(size_);
-  for (const std::uint64_t w : words_) mix(w);
+  mix(sig.width());
+  for (std::size_t i = 0; i < sig.limbCount(); ++i) mix(sig.limb(i));
   return h;
 }
 
-PropositionDomain::PropositionDomain(trace::VariableSet vars,
-                                     std::vector<AtomicProposition> atoms)
-    : vars_(std::move(vars)), atoms_(std::move(atoms)) {}
-
-void PropositionDomain::evalRow(const std::vector<common::BitVector>& row,
-                                Signature& out) const {
-  out.reset(atoms_.size());
-  for (std::size_t i = 0; i < atoms_.size(); ++i) {
-    if (atoms_[i].eval(row)) out.set(i);
-  }
-}
-
-Signature PropositionDomain::evalRow(
-    const std::vector<common::BitVector>& row) const {
-  Signature sig;
-  evalRow(row, sig);
-  return sig;
-}
-
-std::size_t SignatureIndex::slotOf(const Signature& sig) const {
+std::size_t SignatureIndex::slotOf(const common::BitVector& sig) const {
   const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = sig.hash() & mask;; i = (i + 1) & mask) {
+  for (std::size_t i = hash(sig) & mask;; i = (i + 1) & mask) {
     const PropId id = slots_[i];
     if (id == kNoProp || signatures_[static_cast<std::size_t>(id)] == sig) {
       return i;
@@ -86,7 +69,7 @@ std::size_t SignatureIndex::slotOf(const Signature& sig) const {
   }
 }
 
-PropId SignatureIndex::intern(const Signature& sig) {
+PropId SignatureIndex::intern(const common::BitVector& sig) {
   if (2 * (signatures_.size() + 1) > slots_.size()) {
     // Double the table and re-insert every id, in id order.
     slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), kNoProp);
@@ -102,7 +85,7 @@ PropId SignatureIndex::intern(const Signature& sig) {
   return slot;
 }
 
-PropId SignatureIndex::find(const Signature& sig) const {
+PropId SignatureIndex::find(const common::BitVector& sig) const {
   return slots_.empty() ? kNoProp : slots_[slotOf(sig)];
 }
 
@@ -112,10 +95,10 @@ PropId PropositionDomain::internRow(const std::vector<common::BitVector>& row) {
 
 std::string PropositionDomain::describe(PropId id) const {
   if (id == kNoProp) return "<unknown>";
-  const Signature& sig = signature(id);
+  const common::BitVector& sig = signature(id);
   std::string out;
   for (std::size_t i = 0; i < atoms_.size(); ++i) {
-    if (!sig.get(i)) continue;
+    if (!sig.bit(static_cast<unsigned>(i))) continue;
     if (!out.empty()) out += " & ";
     out += atoms_[i].toString(vars_);
   }

@@ -10,6 +10,10 @@
 // whole atom set (true atoms AND negated false atoms). Two instants map
 // to the same proposition iff all atoms agree on them.
 //
+// A signature is a common::BitVector with one bit per atom, bit i being
+// the truth of atom i. Up to 128 atoms it stays inside the object, so an
+// interned signature owns no heap block.
+//
 // PropositionDomain owns the atom set of an IP and interns signatures to
 // dense PropIds. The domain is shared by every trace of the same IP so
 // that proposition identities are consistent across the PSMs that the
@@ -42,40 +46,18 @@ struct AtomicProposition {
 using PropId = int;
 inline constexpr PropId kNoProp = -1;
 
-/// Truth signature of the full atom set at one instant.
-class Signature {
- public:
-  Signature() = default;
-  explicit Signature(const std::vector<bool>& truths);
-
-  /// Resets to `size` false atoms, keeping the word storage.
-  void reset(std::size_t size);
-  /// Marks `atom` (< size()) true.
-  void set(std::size_t atom) {
-    words_[atom / 64] |= std::uint64_t{1} << (atom % 64);
-  }
-
-  bool get(std::size_t atom) const;
-  std::size_t size() const { return size_; }
-
-  bool operator==(const Signature&) const = default;
-  std::size_t hash() const;
-
- private:
-  std::size_t size_ = 0;
-  std::vector<std::uint64_t> words_;
-};
-
 /// Dense ids for distinct signatures, numbered in first-seen order.
 class SignatureIndex {
  public:
   /// Returns the id of `sig`, giving it the next id if new.
-  PropId intern(const Signature& sig);
+  PropId intern(const common::BitVector& sig);
   /// Returns the id of `sig`, or kNoProp if never interned.
-  PropId find(const Signature& sig) const;
+  PropId find(const common::BitVector& sig) const;
 
   std::size_t size() const { return signatures_.size(); }
-  const Signature& signature(PropId id) const { return signatures_.at(id); }
+  const common::BitVector& signature(PropId id) const {
+    return signatures_.at(id);
+  }
 
   /// Same signatures in the same id order.
   bool operator==(const SignatureIndex& other) const {
@@ -83,11 +65,15 @@ class SignatureIndex {
   }
 
  private:
+  /// Mixes the width and each whole limb: BitVector::hash mixes byte by
+  /// byte, eight dependent multiplies a limb, on the predictor's per-row
+  /// find().
+  static std::size_t hash(const common::BitVector& sig);
   /// The slot of `sig` in slots_: the one holding its id, or else the
   /// empty slot where it belongs. slots_ must not be empty.
-  std::size_t slotOf(const Signature& sig) const;
+  std::size_t slotOf(const common::BitVector& sig) const;
 
-  std::vector<Signature> signatures_;
+  std::vector<common::BitVector> signatures_;
   /// Open addressing with linear probing over a power-of-two table of
   /// ids, kNoProp marking an empty slot, never more than half full.
   std::vector<PropId> slots_;
@@ -104,18 +90,20 @@ class PropositionDomain {
   /// Truth signature of a row (one value per variable), written into
   /// `out`, whose storage is reused: a per-row caller allocates nothing.
   void evalRow(const std::vector<common::BitVector>& row,
-               Signature& out) const;
-  Signature evalRow(const std::vector<common::BitVector>& row) const;
+               common::BitVector& out) const;
+  common::BitVector evalRow(const std::vector<common::BitVector>& row) const;
 
   /// Returns the PropId of a signature, creating it if new.
-  PropId intern(const Signature& sig) { return index_.intern(sig); }
+  PropId intern(const common::BitVector& sig) { return index_.intern(sig); }
   /// Returns the PropId of a signature, or kNoProp if never interned.
-  PropId find(const Signature& sig) const { return index_.find(sig); }
+  PropId find(const common::BitVector& sig) const { return index_.find(sig); }
 
   PropId internRow(const std::vector<common::BitVector>& row);
 
   std::size_t size() const { return index_.size(); }
-  const Signature& signature(PropId id) const { return index_.signature(id); }
+  const common::BitVector& signature(PropId id) const {
+    return index_.signature(id);
+  }
 
   /// Human-readable rendering in the paper's style: the AND of the atoms
   /// that are true in the signature (e.g. "we=1 & ce=1").

@@ -257,7 +257,7 @@ class PsmSimulator {
     /// row's signature, the alternatives that survive advanceCore(), the
     /// configurations of the candidate being matched and of the best one
     /// so far, and the viable candidates of a checkpoint replay.
-    Signature row_sig_;
+    common::BitVector row_sig_;
     std::vector<Config> survivors_;
     std::vector<Config> match_;
     std::vector<Config> best_match_;

@@ -214,17 +214,12 @@ void encodeDomain(Encoder& enc, const core::PropositionDomain& domain) {
   enc.u32(static_cast<std::uint32_t>(domain.size()));
   for (core::PropId id = 0; id < static_cast<core::PropId>(domain.size());
        ++id) {
-    const core::Signature& sig = domain.signature(id);
-    enc.u32(static_cast<std::uint32_t>(sig.size()));
-    std::uint8_t byte = 0;
-    for (std::size_t bit = 0; bit < sig.size(); ++bit) {
-      if (sig.get(bit)) byte |= static_cast<std::uint8_t>(1u << (bit % 8));
-      if (bit % 8 == 7) {
-        enc.u8(byte);
-        byte = 0;
-      }
+    // The bits in ceil(width / 8) bytes, least significant first.
+    const common::BitVector& sig = domain.signature(id);
+    enc.u32(sig.width());
+    for (std::size_t byte = 0; byte < (sig.width() + 7) / 8; ++byte) {
+      enc.u8(static_cast<std::uint8_t>(sig.limb(byte / 8) >> (8 * (byte % 8))));
     }
-    if (sig.size() % 8 != 0) enc.u8(byte);
   }
 }
 
@@ -279,13 +274,12 @@ core::PropositionDomain decodeDomain(Decoder& dec) {
                   std::to_string(nbits) + " bits but the domain has " +
                   std::to_string(atom_count) + " atoms");
     }
-    std::vector<bool> truths(nbits, false);
+    common::BitVector sig(nbits);
     std::uint8_t byte = 0;
-    for (std::size_t bit = 0; bit < nbits; ++bit) {
+    for (unsigned bit = 0; bit < nbits; ++bit) {
       if (bit % 8 == 0) byte = dec.u8("signature bits");
-      truths[bit] = (byte >> (bit % 8)) & 1u;
+      if ((byte >> (bit % 8)) & 1u) sig.setBit(bit, true);
     }
-    const core::Signature sig(truths);
     if (domain.find(sig) != core::kNoProp) {
       dec.bad("proposition signature",
               "duplicate proposition signature at id " + std::to_string(i));

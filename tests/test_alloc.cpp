@@ -18,6 +18,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -351,6 +352,50 @@ TEST(Allocations, SessionStepsWithoutAllocatingOnceWarm) {
             0u);
   EXPECT_TRUE(replayed);
   EXPECT_EQ(session.counts().rows, 23u * 12u);
+  EXPECT_EQ(session.counts().unexpected_behaviours, 0u);
+  EXPECT_EQ(session.counts().lost_instants, 0u);
+}
+
+TEST(Allocations, SessionOverA130AtomDomainStepsWithoutAllocatingOnceWarm) {
+  // One atom per value 0..129 of an 8-bit input "m": a row's signature
+  // takes three limbs, which a BitVector keeps on the heap and evalRow
+  // refills in place. State 0 holds p0 until p1, state 1 p1 until p0.
+  trace::VariableSet vars;
+  vars.add("m", 8, trace::VarKind::Input);
+  std::vector<core::AtomicProposition> atoms(130);
+  for (unsigned k = 0; k < atoms.size(); ++k) {
+    atoms[k].lhs = 0;
+    atoms[k].rhs_const = BitVector(8, k);
+  }
+  core::PropositionDomain domain(vars, std::move(atoms));
+  const std::vector<std::vector<BitVector>> rows = {{BitVector(8, 0)},
+                                                    {BitVector(8, 129)}};
+  const core::PropId p0 = domain.internRow(rows[0]);
+  const core::PropId p1 = domain.internRow(rows[1]);
+  ASSERT_EQ(domain.signature(p1).limbCount(), 3u);
+  core::Psm psm;
+  for (const auto& [p, q, watts] : {std::tuple{p0, p1, 2.0}, {p1, p0, 5.0}}) {
+    core::PowerState s;
+    s.assertion.alts = {{{p, q, true}}};
+    s.power = core::PowerAttr::single(watts, 0.1, 10);
+    psm.addState(std::move(s));
+  }
+  psm.state(0).initial_count = 1;
+  psm.addInitial(0);
+  psm.addTransition({0, 1, p1, 1});
+  psm.addTransition({1, 0, p0, 1});
+  const core::PsmSimulator sim(psm, domain);
+  auto session = sim.startSession();
+
+  const auto cycle = [&] {
+    for (const std::size_t r : {0, 0, 0, 1, 1, 1}) session.step(rows[r]);
+  };
+  for (int warm = 0; warm < 3; ++warm) cycle();
+  EXPECT_EQ(allocationsDuring([&] {
+              for (int n = 0; n < 20; ++n) cycle();
+            }),
+            0u);
+  EXPECT_EQ(session.counts().rows, 23u * 6u);
   EXPECT_EQ(session.counts().unexpected_behaviours, 0u);
   EXPECT_EQ(session.counts().lost_instants, 0u);
 }

@@ -38,8 +38,8 @@ core::PropositionDomain makeDomain() {
   atoms[0].op = core::CmpOp::Eq;
   atoms[0].rhs_const = BitVector(1, 1);
   core::PropositionDomain domain(vars, atoms);
-  domain.intern(core::Signature({false}));  // p0
-  domain.intern(core::Signature({true}));   // p1
+  domain.intern(BitVector(1, 0));  // p0
+  domain.intern(BitVector(1, 1));  // p1
   return domain;
 }
 
@@ -246,7 +246,7 @@ TEST(Analyzer, ZeroMultiplicityAlternativeIsAnError) {
 
 TEST(Analyzer, UnusedPropositionsAreOneInfoTally) {
   core::PropositionDomain domain = makeDomain();
-  domain.intern(core::Signature({false}));  // already interned: no-op
+  domain.intern(BitVector(1, 0));  // already interned: no-op
   core::Psm psm = makeCleanPsm();
   // Drop every reference to p0 so one proposition goes unused.
   psm.state(0).assertion.alts = {{{1, 1, true}}};

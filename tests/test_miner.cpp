@@ -42,7 +42,7 @@ TEST(Miner, BooleanAndFrequentConstantAtoms) {
     row(t, true, 2, static_cast<unsigned>(rng.next() & 0xFFFF));
   }
   AssertionMiner miner;
-  const auto atoms = miner.mine({&t}).atoms;
+  const auto atoms = miner.mine({&t}).domain.atoms();
   std::vector<std::string> names;
   for (const auto& a : atoms) names.push_back(a.toString(t.variables()));
   EXPECT_NE(std::find(names.begin(), names.end(), "en=1"), names.end());
@@ -61,7 +61,7 @@ TEST(Miner, ConstantAtomsAreDropped) {
   for (int i = 0; i < 50; ++i) row(t, true, 3, 7);  // everything constant
   AssertionMiner miner;
   // Every candidate holds always => no informative atom survives.
-  EXPECT_TRUE(miner.mine({&t}).atoms.empty());
+  EXPECT_TRUE(miner.mine({&t}).domain.atoms().empty());
 }
 
 TEST(Miner, ToggleNoiseFiltered) {
@@ -70,7 +70,7 @@ TEST(Miner, ToggleNoiseFiltered) {
   MinerConfig cfg;
   cfg.max_toggle_rate = 0.25;
   AssertionMiner miner(cfg);
-  const auto atoms = miner.mine({&t}).atoms;
+  const auto atoms = miner.mine({&t}).domain.atoms();
   for (const auto& a : atoms) {
     EXPECT_NE(a.toString(t.variables()), "en=1");
   }
@@ -86,7 +86,8 @@ TEST(Miner, SpikyWideAtomsFiltered) {
     for (int i = 0; i < 20; ++i) row(t, true, 1, 200 + i);
   }
   AssertionMiner miner;
-  for (const auto& a : miner.mine({&t}).atoms) {
+  const MinedRows mined = miner.mine({&t});
+  for (const auto& a : mined.domain.atoms()) {
     EXPECT_NE(a.toString(t.variables()), "data=0x0000");
   }
 }
@@ -107,7 +108,7 @@ TEST(Miner, VarVarOnlyForControlLikePairs) {
               BitVector(16, rng.next() & 0xFFFF)});
   }
   AssertionMiner miner;
-  const auto atoms = miner.mine({&t}).atoms;
+  const auto atoms = miner.mine({&t}).domain.atoms();
   bool saw_ab = false;
   for (const auto& a : atoms) {
     const std::string n = a.toString(vars);
@@ -145,7 +146,8 @@ std::vector<std::string> atomNames(
     const std::vector<trace::FunctionalTrace>& traces) {
   AssertionMiner miner;
   std::vector<std::string> names;
-  for (const auto& a : miner.mine({&traces[0], &traces[1]}).atoms) {
+  const MinedRows mined = miner.mine({&traces[0], &traces[1]});
+  for (const auto& a : mined.domain.atoms()) {
     names.push_back(a.toString(traces[0].variables()));
   }
   return names;
@@ -372,26 +374,26 @@ TEST(MinerWalk, CountsTruthsAndDistancesAsARowByRowScan) {
               << ": " << show(mined.stats[a]) << ", expected "
               << show(expected);
         }
-        EXPECT_EQ(mined.atoms, keptByScan(mined.candidates, views, cfg))
+        EXPECT_EQ(mined.domain.atoms(),
+                  keptByScan(mined.candidates, views, cfg))
             << where;
 
-        std::size_t wrong_truths = 0;
+        // The PropIds of interning row by row, trace by trace.
+        PropositionDomain reference(walkVars(), mined.domain.atoms());
         std::size_t wrong_distances = 0;
-        std::vector<BitVector> row;
+        ASSERT_EQ(mined.propositions.size(), traces.size()) << where;
         for (std::size_t i = 0; i < traces.size(); ++i) {
           const trace::FunctionalTrace& t = traces[i];
+          EXPECT_EQ(mined.propositions[i].ids,
+                    AssertionMiner::tracePropositions(reference, t).ids)
+              << where << ", trace " << i;
           ASSERT_EQ(mined.distances[i].size(), t.length()) << where;
           for (std::size_t r = 0; r < t.length(); ++r) {
-            t.readRow(r, row);
-            for (std::size_t a = 0; a < mined.candidates.size(); ++a) {
-              wrong_truths +=
-                  mined.holds(i, r, a) != mined.candidates[a].eval(row);
-            }
             wrong_distances +=
                 !(mined.distances[i][r] == distancesByValue(t, r));
           }
         }
-        EXPECT_EQ(wrong_truths, 0u) << where;
+        EXPECT_TRUE(mined.domain == reference) << where;
         EXPECT_EQ(wrong_distances, 0u) << where;
       }
     }
@@ -408,12 +410,26 @@ TEST(MinerWalk, FlowInternsAsRowByRowInTraceOrder) {
   for (const WalkPair& pair : pairs) views.push_back(&pair.functional);
   PropositionDomain reference(
       views.front()->variables(),
-      AssertionMiner(permissiveConfig()).mine(views).atoms);
+      AssertionMiner(permissiveConfig()).mine(views).domain.atoms());
+  std::vector<PropositionTrace> gammas;
   for (const WalkPair& pair : pairs) {
-    AssertionMiner::tracePropositions(reference, pair.functional);
+    gammas.push_back(
+        AssertionMiner::tracePropositions(reference, pair.functional));
   }
-  ASSERT_GT(reference.atoms().size(), 64u);  // two-word signatures
+  ASSERT_GT(reference.atoms().size(), 64u);  // two-limb signatures
   ASSERT_GT(reference.size(), 1u);
+  common::ThreadPool pool(4);
+  for (common::ThreadPool* p :
+       {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+    const char* where = p == nullptr ? "1 thread" : "4 threads";
+    const MinedRows mined = AssertionMiner(permissiveConfig()).mine(views, p);
+    EXPECT_TRUE(mined.domain == reference) << where;
+    ASSERT_EQ(mined.propositions.size(), pairs.size()) << where;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(mined.propositions[i].ids, gammas[i].ids)
+          << where << ", trace " << i;
+    }
+  }
   for (const unsigned threads : {1u, 4u}) {
     FlowConfig cfg;
     cfg.miner = permissiveConfig();
@@ -433,7 +449,7 @@ TEST(Domain, InterningIsStable) {
   MinerConfig cfg;
   cfg.max_toggle_rate = 1.0;
   AssertionMiner miner(cfg);
-  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
+  PropositionDomain domain(t.variables(), miner.mine({&t}).domain.atoms());
   const PropId p0 = domain.internRow(t.step(0));
   const PropId p0_again = domain.internRow(t.step(0));
   EXPECT_EQ(p0, p0_again);
@@ -450,7 +466,7 @@ TEST(Domain, FindDoesNotIntern) {
   cfg.max_toggle_rate = 1.0;
   cfg.max_singleton_run_fraction = 1.0;
   AssertionMiner miner(cfg);
-  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
+  PropositionDomain domain(t.variables(), miner.mine({&t}).domain.atoms());
   EXPECT_EQ(domain.find(domain.evalRow(t.step(0))), kNoProp);
   EXPECT_EQ(domain.size(), 0u);
   domain.internRow(t.step(0));
@@ -471,7 +487,7 @@ TEST(Domain, ExactlyOnePropositionPerInstant) {
   cfg.max_toggle_rate = 1.0;
   cfg.max_singleton_run_fraction = 1.0;
   AssertionMiner miner(cfg);
-  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
+  PropositionDomain domain(t.variables(), miner.mine({&t}).domain.atoms());
   const PropositionTrace gamma = AssertionMiner::tracePropositions(domain, t);
   ASSERT_EQ(gamma.length(), t.length());
   for (std::size_t i = 0; i < t.length(); ++i) {
@@ -489,58 +505,72 @@ TEST(Domain, ExactlyOnePropositionPerInstant) {
   }
 }
 
-TEST(Domain, SignatureIndexAgreesWithAMapAcrossGrowth) {
-  // 70 atoms: two words per signature. The index starts at 16 slots and
-  // doubles past half full, so 3000 signatures cross eight growths.
-  std::vector<AtomicProposition> atoms(70);
-  for (std::size_t i = 0; i < atoms.size(); ++i) {
-    atoms[i].lhs = 2;
-    atoms[i].rhs_const = BitVector(16, i);
+/// The signature whose bit i is truths[i].
+BitVector signatureOf(const std::vector<bool>& truths) {
+  BitVector sig(static_cast<unsigned>(truths.size()));
+  for (std::size_t i = 0; i < truths.size(); ++i) {
+    sig.setBit(static_cast<unsigned>(i), truths[i]);
   }
-  PropositionDomain domain(vars3(), atoms);
-  std::map<std::vector<bool>, PropId> reference;
-  common::Rng rng(11);
-  const auto randomTruths = [&] {
-    std::vector<bool> truths(atoms.size());
-    for (std::size_t i = 0; i < truths.size(); ++i) {
-      truths[i] = rng.chance(0.5);
-    }
-    return truths;
-  };
-  std::vector<std::vector<bool>> seen;
-  for (int n = 0; n < 4000; ++n) {
-    // One draw in four repeats an earlier signature.
-    const std::vector<bool> truths =
-        !seen.empty() && rng.chance(0.25) ? seen[rng.uniform(seen.size())]
-                                          : randomTruths();
-    const auto [it, fresh] = reference.emplace(
-        truths, static_cast<PropId>(reference.size()));
-    if (fresh) seen.push_back(truths);
-    ASSERT_EQ(domain.intern(Signature(truths)), it->second) << "draw " << n;
-    ASSERT_EQ(domain.size(), reference.size());
-  }
-  ASSERT_GT(reference.size(), 2048u);
-  for (const auto& [truths, id] : reference) {
-    EXPECT_EQ(domain.find(Signature(truths)), id);
-    EXPECT_TRUE(domain.signature(id) == Signature(truths));
-  }
-  for (int n = 0; n < 1000; ++n) {
-    const std::vector<bool> truths = randomTruths();
-    const auto it = reference.find(truths);
-    EXPECT_EQ(domain.find(Signature(truths)),
-              it == reference.end() ? kNoProp : it->second);
-  }
+  return sig;
+}
 
-  // A serialize round trip re-interns every signature in id order.
-  Psm psm;
-  PowerState s;
-  s.assertion.alts = {{{0, 1, true}}};
-  psm.addState(std::move(s));
-  std::stringstream bytes;
-  serialize::writePsmModel(bytes, psm, domain);
-  const serialize::PsmModel loaded = serialize::readPsmModel(bytes);
-  EXPECT_TRUE(loaded.domain == domain);
-  EXPECT_EQ(loaded.domain.find(domain.signature(1234)), 1234);
+TEST(Domain, SignatureIndexAgreesWithAMapAcrossGrowth) {
+  // 70 atoms: two limbs per signature, inside the BitVector; 200 atoms:
+  // four limbs, on the heap. The index starts at 16 slots and doubles past
+  // half full, so 3000 signatures cross eight growths.
+  for (const std::size_t atom_count : {70u, 200u}) {
+    SCOPED_TRACE(std::to_string(atom_count) + " atoms");
+    std::vector<AtomicProposition> atoms(atom_count);
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      atoms[i].lhs = 2;
+      atoms[i].rhs_const = BitVector(16, i);
+    }
+    PropositionDomain domain(vars3(), atoms);
+    std::map<std::vector<bool>, PropId> reference;
+    common::Rng rng(11);
+    const auto randomTruths = [&] {
+      std::vector<bool> truths(atoms.size());
+      for (std::size_t i = 0; i < truths.size(); ++i) {
+        truths[i] = rng.chance(0.5);
+      }
+      return truths;
+    };
+    std::vector<std::vector<bool>> seen;
+    for (int n = 0; n < 4000; ++n) {
+      // One draw in four repeats an earlier signature.
+      const std::vector<bool> truths =
+          !seen.empty() && rng.chance(0.25) ? seen[rng.uniform(seen.size())]
+                                            : randomTruths();
+      const auto [it, fresh] = reference.emplace(
+          truths, static_cast<PropId>(reference.size()));
+      if (fresh) seen.push_back(truths);
+      ASSERT_EQ(domain.intern(signatureOf(truths)), it->second)
+          << "draw " << n;
+      ASSERT_EQ(domain.size(), reference.size());
+    }
+    ASSERT_GT(reference.size(), 2048u);
+    for (const auto& [truths, id] : reference) {
+      EXPECT_EQ(domain.find(signatureOf(truths)), id);
+      EXPECT_TRUE(domain.signature(id) == signatureOf(truths));
+    }
+    for (int n = 0; n < 1000; ++n) {
+      const std::vector<bool> truths = randomTruths();
+      const auto it = reference.find(truths);
+      EXPECT_EQ(domain.find(signatureOf(truths)),
+                it == reference.end() ? kNoProp : it->second);
+    }
+
+    // A serialize round trip re-interns every signature in id order.
+    Psm psm;
+    PowerState s;
+    s.assertion.alts = {{{0, 1, true}}};
+    psm.addState(std::move(s));
+    std::stringstream bytes;
+    serialize::writePsmModel(bytes, psm, domain);
+    const serialize::PsmModel loaded = serialize::readPsmModel(bytes);
+    EXPECT_TRUE(loaded.domain == domain);
+    EXPECT_EQ(loaded.domain.find(domain.signature(1234)), 1234);
+  }
 }
 
 TEST(Domain, DescribeListsTrueAtoms) {
@@ -551,7 +581,7 @@ TEST(Domain, DescribeListsTrueAtoms) {
   cfg.max_toggle_rate = 1.0;
   cfg.max_singleton_run_fraction = 1.0;
   AssertionMiner miner(cfg);
-  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
+  PropositionDomain domain(t.variables(), miner.mine({&t}).domain.atoms());
   const PropId p = domain.internRow(t.step(0));
   const std::string desc = domain.describe(p);
   EXPECT_NE(desc.find("en=1"), std::string::npos);

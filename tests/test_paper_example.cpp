@@ -65,7 +65,7 @@ class PaperExample : public ::testing::Test {
     cfg.mine_zero = false;
     core::AssertionMiner miner(cfg);
     domain_ = std::make_unique<core::PropositionDomain>(
-        functional_.variables(), miner.mine({&functional_}).atoms);
+        functional_.variables(), miner.mine({&functional_}).domain.atoms());
     gamma_ = core::AssertionMiner::tracePropositions(*domain_, functional_);
   }
 

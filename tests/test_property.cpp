@@ -56,7 +56,7 @@ class PipelineProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PipelineProperty, XuAssertionsPartitionTheTrace) {
   const auto t = randomModeTrace(GetParam(), 40);
   AssertionMiner miner(permissive());
-  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
+  PropositionDomain domain(t.variables(), miner.mine({&t}).domain.atoms());
   const PropositionTrace gamma = AssertionMiner::tracePropositions(domain, t);
   XuAutomaton xu(gamma);
   std::size_t covered_until = 0;
@@ -95,7 +95,7 @@ TEST_P(PipelineProperty, GeneratedChainInvariants) {
   const auto t = randomModeTrace(GetParam() + 1000, 40);
   const auto p = randomPower(GetParam(), t.length());
   AssertionMiner miner(permissive());
-  PropositionDomain domain(t.variables(), miner.mine({&t}).atoms);
+  PropositionDomain domain(t.variables(), miner.mine({&t}).domain.atoms());
   const PropositionTrace gamma = AssertionMiner::tracePropositions(domain, t);
   const Psm psm = PsmGenerator::generate(gamma, p, 0);
   psm.validate();
@@ -128,7 +128,7 @@ TEST_P(PipelineProperty, SimplifyAndJoinPreserveSampleMass) {
   for (const auto& tr : traces) views.push_back(&tr);
   AssertionMiner miner(permissive());
   PropositionDomain domain(views.front()->variables(),
-                           miner.mine(views).atoms);
+                           miner.mine(views).domain.atoms());
   MergePolicy pol;
   for (int k = 0; k < 3; ++k) {
     const PropositionTrace gamma =

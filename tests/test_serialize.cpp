@@ -94,9 +94,10 @@ TinyModel buildTinyModel() {
   atoms[1].rhs_const = BitVector::fromHex("deadbeefdeadbeefcafe", 100);
 
   core::PropositionDomain domain(vars, atoms);
-  const core::PropId p0 = domain.intern(core::Signature({false, false}));
-  const core::PropId p1 = domain.intern(core::Signature({true, false}));
-  const core::PropId p2 = domain.intern(core::Signature({true, true}));
+  // Bit i of a signature is the truth of atom i.
+  const core::PropId p0 = domain.intern(BitVector(2, 0b00));
+  const core::PropId p1 = domain.intern(BitVector(2, 0b01));
+  const core::PropId p2 = domain.intern(BitVector(2, 0b11));
 
   core::Psm psm;
   core::PowerState idle;

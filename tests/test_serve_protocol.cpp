@@ -305,8 +305,8 @@ serialize::PsmModel tinyModel() {
   atoms[0].rhs_const = BitVector(1, 1);
 
   core::PropositionDomain domain(vars, atoms);
-  const core::PropId p0 = domain.intern(core::Signature({false}));
-  const core::PropId p1 = domain.intern(core::Signature({true}));
+  const core::PropId p0 = domain.intern(BitVector(1, 0));
+  const core::PropId p1 = domain.intern(BitVector(1, 1));
 
   core::Psm psm;
   core::PowerState idle;
